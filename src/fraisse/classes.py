@@ -69,12 +69,21 @@ def check_relation_property(
     table = structure.relations[name]
     n = structure.size
     if prop == "symmetric":
+        if arity == 2:
+            return all((b, a) in table for a, b in table)
         return all(
             tuple(tup[i] for i in perm) in table
             for tup in table
             for perm in itertools.permutations(range(arity))
         )
     if prop == "trichotomous":
+        if arity == 2:
+            # exactly one orientation per pair: C(n, 2) off-diagonal tuples,
+            # none of them with its reverse
+            off = [(a, b) for a, b in table if a != b]
+            return len(off) == n * (n - 1) // 2 and not any(
+                (b, a) in table for a, b in off
+            )
         for combo in itertools.combinations(range(n), arity):
             hits = sum(
                 1 for perm in itertools.permutations(combo) if perm in table
@@ -85,15 +94,17 @@ def check_relation_property(
     if prop == "reflexive":
         return all((a,) * arity in table for a in range(n))
     if prop == "irreflexive":
+        if arity == 2:
+            return all(a != b for a, b in table)
         return all(len(set(tup)) == len(tup) for tup in table)
     if prop == "transitive":
         if arity != 2:
             raise TransitivityOnNonBinary(f"{name!r} has arity {arity}")
+        # successor sets as bitmasks: R(a, b) needs succ(b) within succ(a)
+        succ = [0] * n
         for a, b in table:
-            for c in range(n):
-                if (b, c) in table and (a, c) not in table:
-                    return False
-        return True
+            succ[a] |= 1 << b
+        return all(not succ[b] & ~succ[a] for a, b in table)
     raise ValueError(f"unknown property {prop!r}")
 
 

@@ -217,7 +217,11 @@ def cmd_rank(args) -> int:
 
 
 def cmd_ramsey_box(args) -> int:
-    bound = box_ramsey_upper_bound(args.k, args.colors, args.m, kind=args.kind)
+    try:
+        bound = box_ramsey_upper_bound(args.k, args.colors, args.m, kind=args.kind)
+    except OverflowError as exc:
+        print(f"cap hit: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     report = {
         "command": "ramsey-box",
         "version": __version__,

@@ -1,132 +1,22 @@
-"""Accelerated inner loops with a pure-NumPy fallback.
+"""Array kernels for the two searches that dominate the package's runtime.
 
-Two searches dominate the package's runtime: scanning all (subset, type)
-extension demands of a graph (used by generic-model closure and
-extension-property certification, ~C(N,3)*8 demands at level 3), and
-scanning all combinations of index sets for a monochromatic sub-box of a
-colored grid.  Both are plain nested integer loops, so they carry
-``numba.njit`` kernels.
-
-Set the environment variable ``FRAISSE_PURE_NUMPY=1`` to skip numba and
-use the vectorized NumPy fallbacks instead (slower but dependency-light);
-``benchmarks/bench_kernels.py`` compares the two paths.
+Scanning all (subset, type) extension demands of a graph is used by
+generic-model closure and extension-property certification (~C(N,3)*8
+demands at level 3); scanning all combinations of index sets for a
+monochromatic sub-box of a colored grid is used by the Ramsey finders.
+Both are written with NumPy: the demand scan scores a block of subsets
+per array operation, the box search one row combination at a time.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("FRAISSE_PURE_NUMPY", "") != "1"
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _missing_graph_demands_numba(adj, vmax, level):  # pragma: no cover
-        """Missing (D, type-mask) demands among subsets whose maximum
-        element is ``vmax``; rows are (d0, d1, d2, mask) with -1 padding."""
-        n = adj.shape[0]
-        out = np.empty((8 * (1 + vmax + (vmax * (vmax - 1)) // 2), 4), np.int64)
-        count = 0
-        # size-1 subsets {vmax}
-        if level >= 1:
-            realized = np.zeros(2, np.uint8)
-            for v in range(n):
-                if v != vmax:
-                    realized[adj[vmax, v]] = 1
-            for mask in range(2):
-                if realized[mask] == 0:
-                    out[count, 0] = vmax
-                    out[count, 1] = -1
-                    out[count, 2] = -1
-                    out[count, 3] = mask
-                    count += 1
-        # size-2 subsets {d0, vmax}
-        if level >= 2:
-            for d0 in range(vmax):
-                realized = np.zeros(4, np.uint8)
-                for v in range(n):
-                    if v != d0 and v != vmax:
-                        realized[adj[d0, v] + 2 * adj[vmax, v]] = 1
-                for mask in range(4):
-                    if realized[mask] == 0:
-                        out[count, 0] = d0
-                        out[count, 1] = vmax
-                        out[count, 2] = -1
-                        out[count, 3] = mask
-                        count += 1
-        # size-3 subsets {d0, d1, vmax}
-        if level >= 3:
-            for d0 in range(vmax):
-                for d1 in range(d0 + 1, vmax):
-                    realized = np.zeros(8, np.uint8)
-                    for v in range(n):
-                        if v != d0 and v != d1 and v != vmax:
-                            realized[
-                                adj[d0, v] + 2 * adj[d1, v] + 4 * adj[vmax, v]
-                            ] = 1
-                    for mask in range(8):
-                        if realized[mask] == 0:
-                            out[count, 0] = d0
-                            out[count, 1] = d1
-                            out[count, 2] = vmax
-                            out[count, 3] = mask
-                            count += 1
-        return out[:count]
-
-    @njit(cache=True)
-    def _mono_box_2d_numba(grid, m, color):  # pragma: no cover
-        """First pair of row/column index sets of size m whose product is
-        constantly ``color``; returns a flat array [rows..., cols...] or an
-        empty array."""
-        n0, n1 = grid.shape
-        rows = np.empty(m, np.int64)
-        cols = np.empty(m, np.int64)
-        # iterate over m-combinations of rows via odometer
-        idx = np.arange(m)
-        while True:
-            # columns where all chosen rows have the color
-            good = np.empty(n1, np.uint8)
-            ngood = 0
-            for j in range(n1):
-                ok = True
-                for r in range(m):
-                    if grid[idx[r], j] != color:
-                        ok = False
-                        break
-                good[j] = 1 if ok else 0
-                if ok:
-                    ngood += 1
-            if ngood >= m:
-                taken = 0
-                for j in range(n1):
-                    if good[j] == 1 and taken < m:
-                        cols[taken] = j
-                        taken += 1
-                for r in range(m):
-                    rows[r] = idx[r]
-                out = np.empty(2 * m, np.int64)
-                out[:m] = rows
-                out[m:] = cols
-                return out
-            # advance odometer
-            pos = m - 1
-            while pos >= 0 and idx[pos] == n0 - m + pos:
-                pos -= 1
-            if pos < 0:
-                break
-            idx[pos] += 1
-            for q in range(pos + 1, m):
-                idx[q] = idx[q - 1] + 1
-        return np.empty(0, np.int64)
+# Subsets scored per block of the demand scan: the code matrix of a block
+# has this many rows and one column per point, so memory stays flat.
+_BLOCK_ROWS = 4096
 
 
 def missing_graph_demands(adj: np.ndarray, vmax: int, level: int) -> list:
@@ -134,46 +24,37 @@ def missing_graph_demands(adj: np.ndarray, vmax: int, level: int) -> list:
     mask) of a graph adjacency matrix, as (points, mask) pairs.
 
     A demand for subset D = (d_0 < ... < d_{s-1}) and mask b asks for a
-    vertex v outside D with adj[d_i, v] == bit i of b for all i.
+    vertex v outside D with adj[d_i, v] == bit i of b for all i.  Demands
+    come out by subset size, then subsets in lexicographic order, then
+    masks ascending.
     """
-    if USE_NUMBA:
-        rows = _missing_graph_demands_numba(
-            np.ascontiguousarray(adj, dtype=np.uint8), vmax, level
-        )
-        return [
-            (tuple(int(x) for x in row[:3] if x >= 0), int(row[3]))
-            for row in rows
-        ]
-    return _missing_graph_demands_numpy(adj, vmax, level)
-
-
-def _missing_graph_demands_numpy(adj: np.ndarray, vmax: int, level: int) -> list:
-    n = adj.shape[0]
     a = adj.astype(np.int8)
     out = []
-    others = np.ones(n, dtype=bool)
-    others[vmax] = False
-
-    def scan(points):
-        weights = np.zeros(n, dtype=np.int8)
-        alive = others.copy()
-        for bit, d in enumerate(points):
-            weights = weights + (a[d] << bit)
-            alive[d] = False
-        realized = np.zeros(2 ** len(points), dtype=bool)
-        realized[weights[alive]] = True
-        for mask in np.flatnonzero(~realized):
-            out.append((points, int(mask)))
-
-    if level >= 1:
-        scan((vmax,))
-    if level >= 2:
-        for d0 in range(vmax):
-            scan((d0, vmax))
-    if level >= 3:
-        for d0, d1 in itertools.combinations(range(vmax), 2):
-            scan((d0, d1, vmax))
+    for size in range(1, min(level, 3) + 1):
+        heads = itertools.combinations(range(vmax), size - 1)
+        while block := list(itertools.islice(heads, _BLOCK_ROWS)):
+            rows = np.array(block, dtype=np.intp).reshape(len(block), size - 1)
+            _scan_block(a, vmax, rows, out)
     return out
+
+
+def _scan_block(a: np.ndarray, vmax: int, heads: np.ndarray, out: list) -> None:
+    """Append the missing demands of the subsets ``head + (vmax,)`` for
+    every row ``head`` of ``heads``, in row order and masks ascending.
+
+    ``codes[r, v]`` is the type mask point v realizes over subset r, and -1
+    on the subset's own points."""
+    rows, width = heads.shape
+    codes = np.repeat(a[vmax][None, :] << width, rows, axis=0)
+    for bit in range(width):
+        codes += a[heads[:, bit]] << bit
+    codes[:, vmax] = -1
+    codes[np.arange(rows)[:, None], heads] = -1
+    realized = np.empty((2 ** (width + 1), rows), dtype=bool)
+    for mask in range(len(realized)):
+        np.any(codes == mask, axis=1, out=realized[mask])
+    for row, mask in zip(*np.nonzero(~realized.T)):
+        out.append((tuple(int(d) for d in heads[row]) + (vmax,), int(mask)))
 
 
 def graph_demand_met(adj: np.ndarray, points: tuple, mask: int) -> bool:
@@ -191,13 +72,6 @@ def graph_demand_met(adj: np.ndarray, points: tuple, mask: int) -> bool:
 def find_mono_box_2d(grid: np.ndarray, m: int, color: int):
     """First (rows, cols) index sets of size m with ``grid`` constantly
     ``color`` on their product, or None."""
-    if USE_NUMBA:
-        flat = _mono_box_2d_numba(
-            np.ascontiguousarray(grid, dtype=np.int64), m, color
-        )
-        if flat.size == 0:
-            return None
-        return tuple(int(x) for x in flat[:m]), tuple(int(x) for x in flat[m:])
     mask = grid == color
     n0 = grid.shape[0]
     for rows in itertools.combinations(range(n0), m):

@@ -62,6 +62,9 @@ class GenericModel:
 
     @classmethod
     def from_json(cls, data: dict) -> "GenericModel":
+        for key in ("signature", "size", "relations", "spec", "certified_level"):
+            if key not in data:
+                raise ValueError(f"model JSON has no {key!r} key")
         structure = FiniteStructure.from_json(data)
         spec = parse_class_expr(data["spec"])
         return cls(
@@ -77,6 +80,12 @@ class GenericModel:
 
 
 # -- the equivalence-relations box model -------------------------------------
+
+
+def _pair_tuples(size: int) -> list[list[tuple[int, int]]]:
+    """``pairs[a][b] == (a, b)``: one tuple object per pair, shared by the
+    relation tables of a box."""
+    return [[(a, b) for b in range(size)] for a in range(size)]
 
 
 def box_tuples(m: int, n: int) -> list[tuple[int, ...]]:
@@ -96,15 +105,16 @@ def build_box_model(m: int, n: int, budget: int = 4096) -> GenericModel:
         raise BoundExceeded(f"box size {n ** (m + 1)} exceeds budget {budget}")
     spec = power(builtin("E"), m)
     points = box_tuples(m, n)
-    index = {p: i for i, p in enumerate(points)}
-    tables = {name: set() for name in spec.signature.names}
-    names = list(spec.signature.names)
-    for a in points:
-        for b in points:
-            for i, name in enumerate(names):
-                if a[i] == b[i]:
-                    tables[name].add((index[a], index[b]))
-    structure = FiniteStructure.build(spec.signature, len(points), tables)
+    pairs = _pair_tuples(len(points))
+    tables = {}
+    for i, name in enumerate(spec.signature.names):
+        blocks = [[] for _ in range(n)]
+        for p, point in enumerate(points):
+            blocks[point[i]].append(p)
+        tables[name] = frozenset(
+            pairs[a][b] for block in blocks for a in block for b in block
+        )
+    structure = FiniteStructure(spec.signature, len(points), tables)
     return GenericModel(
         structure,
         spec,
@@ -130,16 +140,19 @@ def build_order_box_model(k: int, side: int, budget: int = 4096) -> GenericModel
     if side**k > budget:
         raise BoundExceeded(f"order box size {side ** k} exceeds budget {budget}")
     spec = power(builtin("LO"), k)
+    # points are listed lexicographically, so an index breaks ties exactly
+    # as the whole tuple does
     points = list(itertools.product(range(side), repeat=k))
-    index = {p: i for i, p in enumerate(points)}
-    tables = {name: set() for name in spec.signature.names}
-    names = list(spec.signature.names)
-    for a in points:
-        for b in points:
-            for i, name in enumerate(names):
-                if (a[i], a) < (b[i], b):
-                    tables[name].add((index[a], index[b]))
-    structure = FiniteStructure.build(spec.signature, len(points), tables)
+    pairs = _pair_tuples(len(points))
+    tables = {}
+    for i, name in enumerate(spec.signature.names):
+        order = sorted(range(len(points)), key=lambda p: (points[p][i], p))
+        # frozen from a finished set, the table is sized to its contents:
+        # half the memory of a frozenset grown tuple by tuple at 4**4 points
+        tables[name] = frozenset(
+            {pairs[a][b] for r, a in enumerate(order) for b in order[r + 1 :]}
+        )
+    structure = FiniteStructure(spec.signature, len(points), tables)
     return GenericModel(
         structure,
         spec,

@@ -1,5 +1,10 @@
 
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraisse.classes import (
     BUILTIN_NAMES,
@@ -58,6 +63,114 @@ def test_transitivity_needs_binary():
 def test_unknown_relation():
     with pytest.raises(UnknownRelation):
         check_relation_property(tournament_3cycle(), "E", "symmetric")
+
+
+# -- binary fast paths against the tuple-permutation reference -----------------
+
+BINARY = Signature((("R", 2),))
+CHECKED = ("symmetric", "trichotomous", "irreflexive", "transitive")
+
+
+def reference_property(structure, name, prop):
+    """The per-tuple permutation loops that decided every arity before the
+    binary relations got their set-algebra checks."""
+    arity = structure.signature.arity(name)
+    table = structure.relations[name]
+    n = structure.size
+    if prop == "symmetric":
+        return all(
+            tuple(tup[i] for i in perm) in table
+            for tup in table
+            for perm in itertools.permutations(range(arity))
+        )
+    if prop == "trichotomous":
+        return all(
+            sum(1 for perm in itertools.permutations(combo) if perm in table) == 1
+            for combo in itertools.combinations(range(n), arity)
+        )
+    if prop == "irreflexive":
+        return all(len(set(tup)) == len(tup) for tup in table)
+    assert prop == "transitive"
+    return all(
+        (a, c) in table
+        for a, b in table
+        for c in range(n)
+        if (b, c) in table
+    )
+
+
+def assert_matches_reference(structure):
+    for name, arity in structure.signature.symbols:
+        for prop in CHECKED:
+            if prop == "transitive" and arity != 2:
+                continue
+            assert check_relation_property(structure, name, prop) == (
+                reference_property(structure, name, prop)
+            ), (prop, name, structure.size, sorted(structure.relations[name]))
+
+
+def test_binary_checks_match_reference_on_every_relation_upto_3_points():
+    for n in range(4):
+        pairs = list(itertools.product(range(n), repeat=2))
+        for bits in range(2 ** len(pairs)):
+            table = {p for i, p in enumerate(pairs) if bits >> i & 1}
+            assert_matches_reference(FiniteStructure.build(BINARY, n, {"R": table}))
+
+
+@pytest.mark.parametrize("expr", ["LO", "E", "G", "T", "E^2"])
+def test_binary_checks_match_reference_on_members_upto_5(expr):
+    for member in parse_class_expr(expr).members_upto(5):
+        assert_matches_reference(member)
+
+
+def test_binary_checks_match_reference_on_LO_G_upto_5():
+    # every member of LO*G is isomorphic to one whose order is the natural
+    # order of its points, so these are all members up to isomorphism
+    spec = parse_class_expr("LO*G")
+    for n in range(1, 6):
+        order = {(a, b) for a, b in itertools.combinations(range(n), 2)}
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(2 ** len(pairs)):
+            edges = {p for i, p in enumerate(pairs) if bits >> i & 1}
+            edges |= {(b, a) for a, b in edges}
+            member = FiniteStructure.build(
+                spec.signature, n, {"<": order, "E": edges}
+            )
+            assert spec.admits(member)
+            assert_matches_reference(member)
+
+
+def _shaped_relation(shape, n, rng):
+    """A relation on n points that is near one of the shapes the checks
+    accept, so both verdicts come up."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    if shape == "order":
+        return {(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)}
+    if shape == "equivalence":
+        block = [rng.randrange(3) for _ in range(n)]
+        return {(a, b) for a in range(n) for b in range(n) if block[a] == block[b]}
+    if shape == "tournament":
+        return {
+            (a, b) if rng.random() < 0.5 else (b, a)
+            for a, b in itertools.combinations(range(n), 2)
+        }
+    return {(a, b) for a in range(n) for b in range(n) if rng.random() < 0.4}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=8),
+    shape=st.sampled_from(["order", "equivalence", "tournament", "random"]),
+    flips=st.integers(min_value=0, max_value=2),
+    seed=st.integers(0, 10**6),
+)
+def test_binary_checks_match_reference_on_random_relations(n, shape, flips, seed):
+    rng = random.Random(seed)
+    table = _shaped_relation(shape, n, rng)
+    for _ in range(flips):
+        table ^= {(rng.randrange(n), rng.randrange(n))}
+    assert_matches_reference(FiniteStructure.build(BINARY, n, {"R": table}))
 
 
 # -- built-ins and class algebra ------------------------------------------------------

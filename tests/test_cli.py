@@ -107,6 +107,16 @@ def test_generic_model_cap_hit(capsys):
     assert data["closed"] is False
 
 
+def test_ramsey_box_directed_overflow_is_cap_hit(capsys):
+    code, out, err = run(
+        capsys, "ramsey-box", "--k", "2", "--colors", "2", "--m", "2",
+        "--kind", "directed",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cap hit:") and err.count("\n") == 1
+
+
 # -- exit code 3 (usage) ----------------------------------------------------------------
 
 
@@ -189,6 +199,26 @@ def test_verify_config_refuted(capsys, tmp_path, graph_model):
     )
     assert code == 1
     assert data["verdict"] == "refuted"
+
+
+@pytest.mark.parametrize(
+    "key", ["spec", "size", "signature", "relations", "certified_level"]
+)
+def test_verify_config_model_without_key_is_usage_error(
+    capsys, tmp_path, config_files, key
+):
+    config_path, target_path = config_files
+    with open(target_path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    del data[key]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(data))
+    code, out, err = run(
+        capsys, "verify-config", "--config", config_path, "--target", str(broken)
+    )
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and repr(key) in err
 
 
 # -- output shape ------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-import json
-import os
-import subprocess
-import sys
+import hashlib
+import itertools
+import random
 
+import numpy as np
 import pytest
 
+from fraisse import kernels
 from fraisse.classes import builtin, parse_class_expr
 from fraisse.errors import NotAmalgamation
 from fraisse.limits import (
@@ -61,21 +62,64 @@ def test_level_3_graph_contains_every_4_point_graph(graph_model):
         assert find_embeddings(pattern, graph_model.structure, limit=1)
 
 
-def test_generic_model_deterministic_across_kernel_paths(graph_model):
-    script = (
-        "import json;"
-        "from fraisse.classes import builtin;"
-        "from fraisse.limits import build_generic_model;"
-        "m = build_generic_model(builtin('G'), level=3, size_cap=200);"
-        "print(json.dumps(m.to_json(), sort_keys=True))"
-    )
-    env = dict(os.environ, FRAISSE_PURE_NUMPY="1")
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    pure = json.loads(out.stdout)
-    assert pure == graph_model.to_json()
+def reference_missing_demands(adj, vmax, level):
+    """Plain loops over subsets, points and masks, in the kernel's order."""
+    n = len(adj)
+    out = []
+    for size in range(1, min(level, 3) + 1):
+        for head in itertools.combinations(range(vmax), size - 1):
+            points = head + (vmax,)
+            realized = {
+                sum(int(adj[d][v]) << bit for bit, d in enumerate(points))
+                for v in range(n)
+                if v not in points
+            }
+            out.extend(
+                (points, mask) for mask in range(2**size) if mask not in realized
+            )
+    return out
+
+
+def random_graph(n, density, rng):
+    adj = np.zeros((n, n), dtype=np.uint8)
+    for a, b in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            adj[a, b] = adj[b, a] = 1
+    return adj
+
+
+@pytest.mark.parametrize("block_rows", [7, 4096])
+def test_block_demand_scan_matches_plain_loops(monkeypatch, block_rows):
+    # a small block size makes the level-3 scans cross block boundaries
+    monkeypatch.setattr(kernels, "_BLOCK_ROWS", block_rows)
+    rng = random.Random(20200706)
+    sizes = [1, 2, 3, 4] + sorted(rng.sample(range(5, 41), 8)) + [40]
+    for n in sizes:
+        adj = random_graph(n, rng.choice([0.1, 0.5, 0.9]), rng)
+        for vmax in range(n):
+            for level in (1, 2, 3):
+                assert kernels.missing_graph_demands(adj, vmax, level) == (
+                    reference_missing_demands(adj, vmax, level)
+                ), (n, vmax, level)
+
+
+# sha256 of build_generic_model(G, level, 200).dumps(), frozen from the
+# closure before the block demand scan replaced the per-subset scan
+GENERIC_GRAPH_SHA256 = {
+    1: "a17a7b9a1fb8ea54876f72037a8ded5e16f36bc661e452b61e2c50692f8cef38",
+    2: "5b1bd08710bc584abe97cce8120cedf9a6525b8fbf98532a1fff50c47d7459ac",
+    3: "6a0a0683ac5ab123314acbdce72924e5a6b4b1d69afc6adc816af46fd6e8bf3e",
+}
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_generic_graph_models_are_pinned(level, graph_model):
+    if level == 3:
+        model = graph_model
+    else:
+        model = build_generic_model(builtin("G"), level=level, size_cap=200)
+    digest = hashlib.sha256(model.dumps().encode()).hexdigest()
+    assert digest == GENERIC_GRAPH_SHA256[level]
 
 
 def test_generic_order_hits_cap_and_stays_uncertified():
