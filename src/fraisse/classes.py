@@ -46,6 +46,7 @@ from .structures import (
     all_extension_tuples,
     enumerate_structures_upto,
     find_embeddings,
+    one_point_extensions,
 )
 
 PROPERTIES = ("symmetric", "trichotomous", "reflexive", "irreflexive", "transitive")
@@ -179,39 +180,18 @@ class ClassSpec:
         predicates are filtered later by ``admits``)."""
         props = self.properties(name)
         arity = self.signature.arity(name)
-        n = parent.size
-        new_tuples = all_extension_tuples(n, arity)
         forced: set[tuple[int, ...]] = set()
         open_tuples: list[tuple[int, ...]] = []
-        for tup in new_tuples:
-            distinct = len(set(tup)) == len(tup)
-            if not distinct:
+        for tup in all_extension_tuples(parent.size, arity):
+            if len(set(tup)) != len(tup):
                 if "irreflexive" in props:
                     continue
                 if "reflexive" in props and len(set(tup)) == 1:
                     forced.add(tup)
                     continue
             open_tuples.append(tup)
-
-        if "trichotomous" in props:
-            groups: dict[frozenset[int], list[tuple[int, ...]]] = {}
-            rest: list[tuple[int, ...]] = []
-            for tup in open_tuples:
-                if len(set(tup)) == len(tup):
-                    groups.setdefault(frozenset(tup), []).append(tup)
-                else:
-                    rest.append(tup)
-            units = [tuple(sorted(g)) for g in groups.values()]
-            units.sort()
-            for picks in itertools.product(*units):
-                for extra in _subset_choices(rest, props):
-                    yield frozenset(forced) | set(picks) | extra
-            return
-
-        yield from (
-            frozenset(forced) | chosen
-            for chosen in _subset_choices(open_tuples, props)
-        )
+        for chosen in _free_assignments(open_tuples, props):
+            yield frozenset(forced) | chosen
 
     # -- convenience -------------------------------------------------------
 
@@ -611,6 +591,9 @@ def _transitive_symmetric_closure(table, size, props):
 
 
 def _free_assignments(free_tuples, props) -> Iterator[set[tuple[int, ...]]]:
+    """Assignments of the given tuples that respect the local properties:
+    one orientation per point set if trichotomous, whole orbits if
+    symmetric, any subset otherwise."""
     if "trichotomous" in props:
         groups: dict[frozenset, list] = {}
         rest = []
@@ -619,7 +602,7 @@ def _free_assignments(free_tuples, props) -> Iterator[set[tuple[int, ...]]]:
                 groups.setdefault(frozenset(tup), []).append(tup)
             else:
                 rest.append(tup)
-        units = [sorted(g) for g in groups.values()]
+        units = sorted(sorted(g) for g in groups.values())
         for picks in itertools.product(*units):
             for extra in _subset_choices(rest, props):
                 yield set(picks) | extra
@@ -858,16 +841,17 @@ def check_self_similarity(
     for c_struct in spec.members_upto(bound, budget=budget):
         for a_subset in _subsets(c_struct.size):
             a_points = list(a_subset)
-            for p_atoms in _one_types(spec, c_struct, a_points):
+            a_struct = c_struct.induced_substructure(a_points)
+            for p_atoms in consistent_one_types(spec, a_struct):
                 realizers = [
                     v
                     for v in range(c_struct.size)
                     if v not in a_subset
-                    and _point_matches(c_struct, a_points, v, p_atoms)
+                    and point_realizes(c_struct, a_points, v, p_atoms)
                 ]
                 for s_tuple in _image_tuples(realizers, bound - 1):
                     induced = c_struct.induced_substructure(s_tuple)
-                    for tau in _one_types(spec, c_struct, list(s_tuple), base=induced):
+                    for tau in consistent_one_types(spec, induced):
                         nodes += 1
                         if budget is not None and nodes > budget:
                             raise BudgetExceeded(
@@ -900,65 +884,47 @@ def _image_tuples(realizers: list[int], max_size: int):
         yield from itertools.permutations(realizers, size)
 
 
-def _one_types(spec, c_struct, points, base=None):
-    """Atom assignments between a fresh point and the given points of C,
-    consistent with class membership of the induced structure plus the
-    fresh point.  Assignments are expressed over the induced indexing
-    (0..len(points)-1 plus len(points) for the fresh point)."""
-    anchor = base if base is not None else c_struct.induced_substructure(points)
-    names = list(spec.signature.names)
-    for combo in itertools.product(
-        *(list(spec.extension_choices(anchor, name)) for name in names)
-    ):
-        assignment = dict(zip(names, combo))
-        extended = anchor.disjoint_union_universe(1).with_relations(
-            {n: anchor.relations[n] | assignment[n] for n in names}
-        )
+def consistent_one_types(spec: ClassSpec, anchor: FiniteStructure):
+    """All atom assignments between a fresh point and the points of
+    ``anchor`` whose one-point extension stays in the class, over the
+    anchor's indexing (the fresh point is ``anchor.size``)."""
+    for assignment, extended in one_point_extensions(spec, anchor):
         if spec.admits(extended):
             yield assignment
 
 
-def _point_matches(c_struct, points, v, atoms) -> bool:
-    """Does point ``v`` of C relate to ``points`` exactly as the fresh
-    point of the assignment does?"""
+def point_realizes(
+    structure: FiniteStructure, points: Sequence[int], v: int, atoms: dict
+) -> bool:
+    """Does ``v`` relate to ``points`` exactly as the assignment's fresh
+    point (index len(points)) does?"""
     k = len(points)
-    to_c = {i: p for i, p in enumerate(points)}
-    to_c[k] = v
-    for name, arity in c_struct.signature.symbols:
+    to_model = {i: p for i, p in enumerate(points)}
+    to_model[k] = v
+    for name, arity in structure.signature.symbols:
         decided = atoms[name]
         for tup in all_extension_tuples(k, arity):
-            image = tuple(to_c[x] for x in tup)
-            if c_struct.holds(name, image) != (tup in decided):
+            image = tuple(to_model[x] for x in tup)
+            if structure.holds(name, image) != (tup in decided):
                 return False
     return True
 
 
 def _extension_exists(spec, c_struct, a_points, p_atoms, s_tuple, tau) -> bool:
-    # An existing point may already finish the job.
-    for v in range(c_struct.size):
-        if v in set(a_points) or v in set(s_tuple):
-            continue
-        if _point_matches(c_struct, a_points, v, p_atoms) and _point_matches(
-            c_struct, list(s_tuple), v, tau
-        ):
-            return True
-    # Otherwise search one-point extensions of C inside the class.
-    names = list(spec.signature.names)
-    for combo in itertools.product(
-        *(list(spec.extension_choices(c_struct, name)) for name in names)
-    ):
-        assignment = dict(zip(names, combo))
-        extended = c_struct.disjoint_union_universe(1).with_relations(
-            {n: c_struct.relations[n] | assignment[n] for n in names}
+    def realizes_both(structure, v):
+        return point_realizes(structure, a_points, v, p_atoms) and point_realizes(
+            structure, s_tuple, v, tau
         )
-        if not spec.admits(extended):
-            continue
-        new_pt = c_struct.size
-        if _point_matches(extended, a_points, new_pt, p_atoms) and _point_matches(
-            extended, list(s_tuple), new_pt, tau
-        ):
-            return True
-    return False
+
+    # An existing point may already finish the job.
+    taken = set(a_points) | set(s_tuple)
+    if any(realizes_both(c_struct, v) for v in range(c_struct.size) if v not in taken):
+        return True
+    # Otherwise search one-point extensions of C inside the class.
+    return any(
+        spec.admits(extended) and realizes_both(extended, c_struct.size)
+        for _, extended in one_point_extensions(spec, c_struct)
+    )
 
 
 def _atoms_json(atoms) -> dict:

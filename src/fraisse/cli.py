@@ -22,7 +22,7 @@ from .classes import (
     verify_class_axioms,
 )
 from .config import ConfigCertificate, InterpretationMap, verify_configuration
-from .errors import BudgetExceeded, CapReached, FraisseError
+from .errors import BudgetExceeded, FraisseError
 from .limits import GenericModel, build_generic_model
 from .ramsey import (
     box_ramsey_upper_bound,
@@ -367,7 +367,7 @@ def main(argv=None) -> int:
     args._t0 = time.time()
     try:
         return args.fn(args)
-    except (BudgetExceeded, CapReached) as exc:
+    except BudgetExceeded as exc:
         print(f"cap hit: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (FraisseError, ValueError) as exc:

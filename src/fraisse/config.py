@@ -575,11 +575,6 @@ def search_witness(
     assignment = [0] * nvars
     nodes = 0
 
-    def tuples_of(upto):
-        return [
-            tuple(assignment[e * n : (e + 1) * n]) for e in range(size)
-        ]
-
     def rec(v):
         nonlocal nodes
         if v == nvars:

@@ -52,14 +52,6 @@ class BudgetExceeded(FraisseError):
     """A search exceeded its node budget before reaching a verdict."""
 
 
-class CapReached(FraisseError):
-    """Model closure hit its size cap before closing."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class NotAmalgamation(FraisseError):
     """A class failed an amalgamation precondition."""
 

@@ -18,6 +18,9 @@ the model.  Three builders are provided:
   never extension-certified; instead they are *age-universal*: every
   pattern of ``k`` linear orders on at most ``side`` points embeds, via
   an explicitly computable rank embedding.
+
+Both boxes are built by the grid helpers ``equality_grid`` and
+``order_grid``, which also build the pattern carriers of ``ranks``.
 """
 
 from __future__ import annotations
@@ -29,10 +32,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .classes import ClassSpec, builtin, parse_class_expr, power, verify_class_axioms
+from .classes import (
+    ClassSpec,
+    builtin,
+    consistent_one_types,
+    parse_class_expr,
+    point_realizes,
+    power,
+    verify_class_axioms,
+)
 from .errors import BoundExceeded, NotAmalgamation, NonBinarySignature
 from .report import VerificationReport
-from .structures import FiniteStructure, all_extension_tuples
+from .structures import FiniteStructure
 
 
 @dataclass
@@ -79,13 +90,52 @@ class GenericModel:
         return cls.from_json(json.loads(text))
 
 
-# -- the equivalence-relations box model -------------------------------------
+# -- grids: box models and pattern carriers --------------------------------------
 
 
 def _pair_tuples(size: int) -> list[list[tuple[int, int]]]:
     """``pairs[a][b] == (a, b)``: one tuple object per pair, shared by the
-    relation tables of a box."""
+    relation tables of a grid."""
     return [[(a, b) for b in range(size)] for a in range(size)]
+
+
+def equality_grid(points: list[tuple[int, ...]], spec: ClassSpec) -> FiniteStructure:
+    """The structure on ``points`` where relation ``i`` of the spec holds
+    between two points iff they agree at coordinate ``i``."""
+    pairs = _pair_tuples(len(points))
+    tables = {}
+    for i, name in enumerate(spec.signature.names):
+        blocks: dict[int, list[int]] = {}
+        for p, point in enumerate(points):
+            blocks.setdefault(point[i], []).append(p)
+        tables[name] = frozenset(
+            pairs[a][b] for block in blocks.values() for a in block for b in block
+        )
+    return FiniteStructure(spec.signature, len(points), tables)
+
+
+def order_grid(points: list[tuple[int, ...]], spec: ClassSpec) -> FiniteStructure:
+    """The structure on the distinct ``points`` where relation ``i`` of the
+    spec orders points by coordinate ``i``, ties broken on the whole
+    tuple."""
+    pairs = _pair_tuples(len(points))
+    tables = {}
+    for i, name in enumerate(spec.signature.names):
+        order = sorted(range(len(points)), key=lambda p: (points[p][i], points[p]))
+        # frozen from a finished set, the table is sized to its contents:
+        # half the memory of a frozenset grown tuple by tuple at 4**4 points
+        tables[name] = frozenset(
+            {pairs[a][b] for r, a in enumerate(order) for b in order[r + 1 :]}
+        )
+    return FiniteStructure(spec.signature, len(points), tables)
+
+
+def grid_index(point: tuple[int, ...], side: int) -> int:
+    """Position of ``point`` in the lexicographic list of ``range(side)**k``."""
+    idx = 0
+    for c in point:
+        idx = idx * side + c
+    return idx
 
 
 def box_tuples(m: int, n: int) -> list[tuple[int, ...]]:
@@ -104,26 +154,12 @@ def build_box_model(m: int, n: int, budget: int = 4096) -> GenericModel:
     if n ** (m + 1) > budget:
         raise BoundExceeded(f"box size {n ** (m + 1)} exceeds budget {budget}")
     spec = power(builtin("E"), m)
-    points = box_tuples(m, n)
-    pairs = _pair_tuples(len(points))
-    tables = {}
-    for i, name in enumerate(spec.signature.names):
-        blocks = [[] for _ in range(n)]
-        for p, point in enumerate(points):
-            blocks[point[i]].append(p)
-        tables[name] = frozenset(
-            pairs[a][b] for block in blocks for a in block for b in block
-        )
-    structure = FiniteStructure(spec.signature, len(points), tables)
     return GenericModel(
-        structure,
+        equality_grid(box_tuples(m, n), spec),
         spec,
         n - 1,
         meta={"builder": "box", "m": m, "n": n},
     )
-
-
-# -- order boxes ---------------------------------------------------------------
 
 
 def build_order_box_model(k: int, side: int, budget: int = 4096) -> GenericModel:
@@ -140,21 +176,8 @@ def build_order_box_model(k: int, side: int, budget: int = 4096) -> GenericModel
     if side**k > budget:
         raise BoundExceeded(f"order box size {side ** k} exceeds budget {budget}")
     spec = power(builtin("LO"), k)
-    # points are listed lexicographically, so an index breaks ties exactly
-    # as the whole tuple does
-    points = list(itertools.product(range(side), repeat=k))
-    pairs = _pair_tuples(len(points))
-    tables = {}
-    for i, name in enumerate(spec.signature.names):
-        order = sorted(range(len(points)), key=lambda p: (points[p][i], p))
-        # frozen from a finished set, the table is sized to its contents:
-        # half the memory of a frozenset grown tuple by tuple at 4**4 points
-        tables[name] = frozenset(
-            {pairs[a][b] for r, a in enumerate(order) for b in order[r + 1 :]}
-        )
-    structure = FiniteStructure(spec.signature, len(points), tables)
     return GenericModel(
-        structure,
+        order_grid(list(itertools.product(range(side), repeat=k)), spec),
         spec,
         -1,
         meta={"builder": "order-box", "k": k, "side": side, "age_universal_upto": side},
@@ -170,7 +193,7 @@ def order_box_embedding(structure: FiniteStructure, model: GenericModel) -> list
     """
     if model.meta.get("builder") != "order-box":
         raise ValueError("target is not an order box")
-    k, side = model.meta["k"], model.meta["side"]
+    side = model.meta["side"]
     if structure.size > side:
         raise BoundExceeded(
             f"pattern has {structure.size} points, order box side is {side}"
@@ -181,51 +204,28 @@ def order_box_embedding(structure: FiniteStructure, model: GenericModel) -> list
             f"pattern signature {structure.signature.names} does not match "
             f"order box signature {tuple(names)}"
         )
-    ranks = []
-    for v in range(structure.size):
-        vec = tuple(
-            sum(1 for u in range(structure.size) if structure.holds(name, (u, v)))
-            for name in names
-        )
-        ranks.append(vec)
-    points = list(itertools.product(range(side), repeat=k))
-    index = {p: i for i, p in enumerate(points)}
-    return [index[vec] for vec in ranks]
+    ranks = [
+        [sum(1 for u in range(structure.size) if structure.holds(name, (u, v))) for name in names]
+        for v in range(structure.size)
+    ]
+    return [grid_index(vec, side) for vec in ranks]
 
 
-# -- 1-types over subsets of a model -------------------------------------------
+# -- the generic demand scan ------------------------------------------------------
 
 
-def consistent_one_types(spec: ClassSpec, anchor: FiniteStructure):
-    """All atom assignments between a fresh point and the points of
-    ``anchor`` whose one-point extension stays in the class."""
-    names = list(spec.signature.names)
-    for combo in itertools.product(
-        *(list(spec.extension_choices(anchor, name)) for name in names)
-    ):
-        assignment = dict(zip(names, combo))
-        extended = anchor.disjoint_union_universe(1).with_relations(
-            {n: anchor.relations[n] | assignment[n] for n in names}
-        )
-        if spec.admits(extended):
-            yield assignment
-
-
-def point_realizes(
-    structure: FiniteStructure, points: list[int], v: int, atoms: dict
-) -> bool:
-    """Does ``v`` relate to ``points`` exactly as the assignment's fresh
-    point (index len(points)) does?"""
-    k = len(points)
-    to_model = {i: p for i, p in enumerate(points)}
-    to_model[k] = v
-    for name, arity in structure.signature.symbols:
-        decided = atoms[name]
-        for tup in all_extension_tuples(k, arity):
-            image = tuple(to_model[x] for x in tup)
-            if structure.holds(name, image) != (tup in decided):
-                return False
-    return True
+def _unrealized_types(spec: ClassSpec, structure: FiniteStructure, subset: list[int]):
+    """The class-consistent 1-types over ``subset`` that no point of the
+    structure outside the subset realizes, in ``consistent_one_types``
+    order."""
+    anchor = structure.induced_substructure(subset)
+    for atoms in consistent_one_types(spec, anchor):
+        if not any(
+            point_realizes(structure, subset, v, atoms)
+            for v in range(structure.size)
+            if v not in subset
+        ):
+            yield atoms
 
 
 # -- extension-property certification ------------------------------------------
@@ -253,16 +253,13 @@ def check_extension_property(model: GenericModel, level: int) -> VerificationRep
     """Exhaustively verify that every spec-consistent quantifier-free
     1-type over at most ``level`` points of the model is realized."""
     structure, spec = model.structure, model.spec
-    if level >= 1 and structure.size == 0:
+    if level >= 0 and structure.size == 0:
+        # not even the type over the empty set is realized
         return VerificationReport.refuted(
             "extension-property", {"subset": [], "reason": "empty model"}, bound=level
         )
     if _graph_like(spec):
         adj = _adjacency(structure)
-        if structure.size == 0:
-            return VerificationReport.refuted(
-                "extension-property", {"subset": []}, bound=level
-            )
         for vmax in range(structure.size):
             missing = kernels.missing_graph_demands(adj, vmax, level)
             if missing:
@@ -273,30 +270,19 @@ def check_extension_property(model: GenericModel, level: int) -> VerificationRep
                     bound=level,
                 )
         return VerificationReport.verified_up_to("extension-property", level)
-    # generic path
+    # generic path, subsets size-major
     for size in range(level + 1):
         for subset in itertools.combinations(range(structure.size), size):
-            if size == 0 and structure.size == 0:
+            atoms = next(_unrealized_types(spec, structure, list(subset)), None)
+            if atoms is not None:
                 return VerificationReport.refuted(
-                    "extension-property", {"subset": []}, bound=level
+                    "extension-property",
+                    {
+                        "subset": list(subset),
+                        "type": {n: sorted(map(list, t)) for n, t in atoms.items()},
+                    },
+                    bound=level,
                 )
-            anchor = structure.induced_substructure(subset)
-            for atoms in consistent_one_types(spec, anchor):
-                if not any(
-                    point_realizes(structure, list(subset), v, atoms)
-                    for v in range(structure.size)
-                    if v not in subset
-                ):
-                    return VerificationReport.refuted(
-                        "extension-property",
-                        {
-                            "subset": list(subset),
-                            "type": {
-                                n: sorted(map(list, t)) for n, t in atoms.items()
-                            },
-                        },
-                        bound=level,
-                    )
     return VerificationReport.verified_up_to("extension-property", level)
 
 
@@ -410,14 +396,10 @@ def _close_generic(spec: ClassSpec, level: int, size_cap: int):
                 continue
             for rest in itertools.combinations(range(vmax), size - 1):
                 subset = list(rest) + [vmax]
-                anchor = structure.induced_substructure(subset)
-                for atoms in consistent_one_types(spec, anchor):
-                    if any(
-                        point_realizes(structure, subset, v, atoms)
-                        for v in range(structure.size)
-                        if v not in subset
-                    ):
-                        continue
+                # the scan reads the structure as it was before this subset's
+                # witnesses: a witness realizes exactly the type it was added
+                # for, never another type over the same subset
+                for atoms in _unrealized_types(spec, structure, subset):
                     if structure.size >= size_cap:
                         return structure, False
                     grown = _add_witness(spec, structure, subset, atoms)

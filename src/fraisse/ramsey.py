@@ -236,29 +236,9 @@ def find_monochromatic_directed_box(coloring: BoxColoring, m: int):
         raise ValueError("directed finder needs a pair map")
     if m > coloring.n:
         raise ValueError(f"m {m} exceeds side {coloring.n}")
-    k, n = coloring.k, coloring.n
-    dirs = directions(k)
-    for sets in itertools.product(
-        *(itertools.combinations(range(n), m) for _ in range(k))
-    ):
-        box = list(itertools.product(*sets))
-        ok = True
-        for t in dirs:
-            seen = None
-            for a in box:
-                for b in box:
-                    if leq_t(a, b, t):
-                        c = coloring.pair_color(a, b)
-                        if seen is None:
-                            seen = c
-                        elif c != seen:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+    axis = list(itertools.combinations(range(coloring.n), m))
+    for sets in itertools.product(axis, repeat=coloring.k):
+        if check_directed_box(coloring, sets):
             return [list(s) for s in sets]
     return None
 

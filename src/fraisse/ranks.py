@@ -47,7 +47,7 @@ from .errors import (
     UnderCertifiedTarget,
     WitnessMissing,
 )
-from .limits import GenericModel
+from .limits import GenericModel, equality_grid, grid_index, order_grid
 from .report import VerificationReport
 from .structures import FiniteStructure, Signature, find_embeddings
 
@@ -518,7 +518,7 @@ def build_E_into_orders(
             for i in range(m):
                 point[2 * i] = vec[i]
                 point[2 * i + 1] = side - 1 - vec[i]
-            out.append((_order_box_index(point, side),))
+            out.append((grid_index(point, side),))
         return out
 
     cert = verify_configuration(interp, target, bound, witness_builder=builder)
@@ -541,13 +541,6 @@ def build_E_into_orders(
         "upper": k - 1,
     }
     return interp, cert, record
-
-
-def _order_box_index(point, side: int) -> int:
-    idx = 0
-    for c in point:
-        idx = idx * side + c
-    return idx
 
 
 # -- pattern extraction ---------------------------------------------------------------------
@@ -611,17 +604,6 @@ class PatternWitness:
         }
 
 
-def _order_grid_structure(points: list[tuple[int, ...]], spec: ClassSpec):
-    names = list(spec.signature.names)
-    tables = {name: set() for name in names}
-    for a, p in enumerate(points):
-        for b, q in enumerate(points):
-            for i, name in enumerate(names):
-                if (p[i], p) < (q[i], q):
-                    tables[name].add((a, b))
-    return FiniteStructure.build(spec.signature, len(points), tables)
-
-
 def _find_pattern_witness(interp, target, structure, witness, budget):
     if callable(witness):
         witness = witness(structure)
@@ -665,7 +647,7 @@ def extract_IRD_pattern(
     row_points = [tuple(2 * c + 1 for c in g) for g in gs]
     col_points = [tuple([2 * j] * m) for j in range(length)]
     points = row_points + [p for p in col_points if p not in row_points]
-    structure = _order_grid_structure(points, interp.index_spec)
+    structure = order_grid(points, interp.index_spec)
     wit = _find_pattern_witness(interp, target, structure, witness, budget)
     index = {p: i for i, p in enumerate(points)}
     names = list(interp.index_spec.signature.names)
@@ -682,17 +664,6 @@ def extract_IRD_pattern(
     if not report:
         raise WitnessMissing(f"sign matrix failed re-verification: {report.details}")
     return pattern
-
-
-def _equivalence_grid_structure(points: list[tuple[int, ...]], spec: ClassSpec):
-    names = list(spec.signature.names)
-    tables = {name: set() for name in names}
-    for a, p in enumerate(points):
-        for b, q in enumerate(points):
-            for i, name in enumerate(names):
-                if p[i] == q[i]:
-                    tables[name].add((a, b))
-    return FiniteStructure.build(spec.signature, len(points), tables)
 
 
 def extract_ICT_pattern(
@@ -714,7 +685,7 @@ def extract_ICT_pattern(
     if length < 1:
         raise ValueError(f"length {length} < 1")
     gs = list(itertools.product(range(length), repeat=m))
-    structure = _equivalence_grid_structure(gs, interp.index_spec)
+    structure = equality_grid(gs, interp.index_spec)
     wit = _find_pattern_witness(interp, target, structure, witness, budget)
     index = {p: i for i, p in enumerate(gs)}
     names = list(interp.index_spec.signature.names)

@@ -414,7 +414,7 @@ def enumerate_structures(
     for _ in range(size):
         seen: dict[tuple, FiniteStructure] = {}
         for parent in layer:
-            for child in _one_point_extensions(spec, parent):
+            for _, child in one_point_extensions(spec, parent):
                 nodes += 1
                 if budget is not None and nodes > budget:
                     raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
@@ -437,19 +437,23 @@ def enumerate_structures_upto(
     return out
 
 
-def _one_point_extensions(
+def one_point_extensions(
     spec, parent: FiniteStructure
-) -> Iterator[FiniteStructure]:
-    """Extend ``parent`` by one fresh point in every way offered by the spec."""
+) -> Iterator[tuple[dict[str, frozenset], FiniteStructure]]:
+    """Extend ``parent`` by one fresh point (index ``parent.size``) in
+    every way offered by the spec's ``extension_choices``.
+
+    Yields ``(assignment, child)``: the new tuples per relation, and the
+    padded parent carrying them.  Membership is not checked.
+    """
     base = parent.disjoint_union_universe(1)
     names = list(spec.signature.names)
     choice_lists = [list(spec.extension_choices(parent, name)) for name in names]
     for combo in itertools.product(*choice_lists):
-        tables = {
-            name: base.relations[name] | new_tuples
-            for name, new_tuples in zip(names, combo)
-        }
-        yield base.with_relations(tables)
+        assignment = dict(zip(names, combo))
+        yield assignment, base.with_relations(
+            {name: base.relations[name] | assignment[name] for name in names}
+        )
 
 
 def all_extension_tuples(size: int, arity: int) -> list[tuple[int, ...]]:

@@ -25,6 +25,7 @@ from fraisse.config import (
     product_configuration,
     verify_configuration,
 )
+from fraisse.limits import equality_grid, order_grid
 from fraisse.ramsey import (
     BoxColoring,
     box_ramsey_upper_bound,
@@ -44,8 +45,6 @@ from fraisse.ranks import (
     extract_IRD_pattern,
     pad_interpretation,
     verify_dagger_base_case,
-    _equivalence_grid_structure,
-    _order_grid_structure,
 )
 from fraisse.structures import Signature
 
@@ -175,11 +174,11 @@ def _quad_pattern(name, carrier, graph_model, extractor):
 
 def test_criterion_7_pattern_extraction(graph_model):
     grid = list(itertools.product(range(2), repeat=3))
-    eq_carrier = _equivalence_grid_structure(grid, power(builtin("E"), 3))
+    eq_carrier = equality_grid(grid, power(builtin("E"), 3))
     ict, ict_target = _quad_pattern("E", eq_carrier, graph_model, extract_ICT_pattern)
     rows = [tuple(2 * c + 1 for c in g) for g in grid]
     cols = [tuple([2 * j] * 3) for j in range(2)]
-    lo_carrier = _order_grid_structure(rows + cols, power(builtin("LO"), 3))
+    lo_carrier = order_grid(rows + cols, power(builtin("LO"), 3))
     ird, ird_target = _quad_pattern("LO", lo_carrier, graph_model, extract_IRD_pattern)
     ok = ict.kind == "ICT" and ict.m == 3 and bool(ict.verify(ict_target.structure))
     ok = ok and ird.kind == "IRD" and ird.m == 3 and bool(ird.verify(ird_target.structure))

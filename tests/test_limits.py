@@ -122,6 +122,71 @@ def test_generic_graph_models_are_pinned(level, graph_model):
     assert digest == GENERIC_GRAPH_SHA256[level]
 
 
+# sha256 of build_generic_model(spec, level, cap, check_amalgamation=False)
+# .dumps() on the generic (non-graph) closure path, frozen from the closure
+# before the demand scan and the 1-type enumeration were merged
+GENERIC_MODEL_SHA256 = {
+    ("E", 1, 200): "455d034e39e3714100ae2d1cb325483afabbe0c5f83ed0aa99924d76eca8d313",
+    ("E", 2, 200): "1952e0442cffa8d3a2f268e6d99267611eaccad95c033eec17c03f458a9b3caa",
+    ("E", 3, 200): "236c2bf5a14213092edfb4ef60c9d19f1c11b4087451f5491276a4b2339c9ae5",
+    ("T", 1, 200): "4e34cb4ba98f594eaff791c564d6458d40bb39024e86cc09275f6f790509822c",
+    ("T", 2, 200): "8a08e967f20bfbaca81427e650d7d301306e26873d764f9e942fbbfece9f3b72",
+    ("G^2", 1, 64): "6b97675cb3a407a65d33e69b24388a0f6b717367aaee32d08b2014394500343e",
+    ("E*G", 1, 64): "550ed15d5775df3ab3ae16ee8ba153852acfd635b18e48854aa5e1a77e1180f2",
+    ("LO", 2, 16): "7c22f37580f48c85d08d0aa171f489481eae445c1ffb18fbf565bf39b06211af",
+    ("LO*G", 2, 16): "4570d5a0d2a0a96734d66cdd5a836c9efa3fa8c264ef00a0394f002daf047209",
+}
+
+
+@pytest.mark.parametrize("name,level,cap", sorted(GENERIC_MODEL_SHA256))
+def test_generic_closure_models_are_pinned(name, level, cap):
+    model = build_generic_model(
+        parse_class_expr(name), level, cap, check_amalgamation=False
+    )
+    digest = hashlib.sha256(model.dumps().encode()).hexdigest()
+    assert digest == GENERIC_MODEL_SHA256[(name, level, cap)]
+
+
+# check_extension_property(model, check_level).to_json() for generic-path
+# models checked above their certified level, frozen like the digests above
+REFUTED_EXTENSION_CHECKS = {
+    ("E", 2, 3): {
+        "bound": 3,
+        "check": "extension-property",
+        "status": "refuted",
+        "witness": {"subset": [0, 1, 4], "type": {"E": [[3, 3]]}},
+    },
+    ("T", 1, 2): {
+        "bound": 2,
+        "check": "extension-property",
+        "status": "refuted",
+        "witness": {"subset": [0, 1], "type": {"<": [[0, 2], [1, 2]]}},
+    },
+}
+
+
+@pytest.mark.parametrize("name,level,check_level", sorted(REFUTED_EXTENSION_CHECKS))
+def test_generic_extension_refutations_are_pinned(name, level, check_level):
+    model = build_generic_model(
+        parse_class_expr(name), level, 200, check_amalgamation=False
+    )
+    report = check_extension_property(model, check_level)
+    assert report.to_json() == REFUTED_EXTENSION_CHECKS[(name, level, check_level)]
+
+
+@pytest.mark.parametrize("name", ["G", "E"])  # graph path and generic path
+@pytest.mark.parametrize("level", [-1, 0, 1])
+def test_extension_check_on_empty_model(name, level):
+    spec = builtin(name)
+    model = GenericModel(spec.empty_structure(), spec, -1)
+    report = check_extension_property(model, level)
+    # at level -1 the check is vacuous; from level 0 on, not even the type
+    # over the empty set is realized
+    assert bool(report) == (level < 0)
+    if level >= 0:
+        assert report.witness == {"subset": [], "reason": "empty model"}
+
+
 def test_generic_order_hits_cap_and_stays_uncertified():
     model = build_generic_model(builtin("LO"), level=1, size_cap=16)
     assert model.meta["closed"] is False

@@ -5,7 +5,7 @@ import pytest
 from fraisse.classes import builtin, parse_class_expr, power
 from fraisse.config import ConfigCertificate, identity_interpretation, verify_configuration
 from fraisse.errors import HypothesisUnmet
-from fraisse.limits import build_order_box_model, box_tuples
+from fraisse.limits import box_tuples, build_order_box_model, equality_grid, order_grid
 from fraisse.ranks import (
     QuadConstruction,
     all_bipartite_codes,
@@ -21,8 +21,6 @@ from fraisse.ranks import (
     pad_interpretation,
     verify_dagger_base_case,
     _class_coordinates,
-    _equivalence_grid_structure,
-    _order_grid_structure,
 )
 
 QUAD_CLASSES = ("LO", "G", "E", "T")
@@ -144,7 +142,7 @@ def test_E_box_m1_two_equivalent_points():
 def test_class_coordinates_general_position():
     spec = power(builtin("E"), 2)
     grid = list(itertools.product(range(2), repeat=2))
-    structure = _equivalence_grid_structure(grid, spec)
+    structure = equality_grid(grid, spec)
     coords = _class_coordinates(structure)
     assert all(max(c) <= 3 for c in coords)
     assert len(set(coords)) == len(coords)
@@ -221,7 +219,7 @@ def _quad_pattern_target(name, carrier, graph_model):
 def test_ICT_depth_3_via_quad(graph_model):
     spec = power(builtin("E"), 3)
     grid = list(itertools.product(range(2), repeat=3))
-    carrier = _equivalence_grid_structure(grid, spec)
+    carrier = equality_grid(grid, spec)
     qc, extended, witness = _quad_pattern_target("E", carrier, graph_model)
     pattern = extract_ICT_pattern(qc.interpretation, extended, 2, witness=witness)
     assert pattern.kind == "ICT" and pattern.m == 3
@@ -233,7 +231,7 @@ def test_IRD_depth_3_via_quad(graph_model):
     gs = list(itertools.product(range(2), repeat=3))
     rows = [tuple(2 * c + 1 for c in g) for g in gs]
     cols = [tuple([2 * j] * 3) for j in range(2)]
-    carrier = _order_grid_structure(rows + cols, spec)
+    carrier = order_grid(rows + cols, spec)
     qc, extended, witness = _quad_pattern_target("LO", carrier, graph_model)
     pattern = extract_IRD_pattern(qc.interpretation, extended, 2, witness=witness)
     assert pattern.kind == "IRD" and pattern.m == 3
