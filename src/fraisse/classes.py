@@ -379,21 +379,21 @@ def verify_class_axioms(
     """Exhaustively check a class axiom over instances with parts of size
     at most ``bound``.
 
-    The amalgam search caps ``|C|`` at ``|B0| + |B1| - |A|`` (the strong
-    disjoint-union size); a failure within this cap is reported as refuted
-    with ``within_cap`` set, which for plain amalgamation is weaker than a
-    true refutation.
+    Every amalgamation axiom runs one amalgam search over pairings of the
+    two arms' private points: strong amalgamation (and joint embedding,
+    over the empty base) accepts only the empty pairing, the disjoint
+    union; plain amalgamation tries the fewest identifications first.  The
+    search caps ``|C|`` at ``|B0| + |B1| - |A|`` (the strong disjoint-union
+    size); a failure within this cap is reported as refuted with
+    ``within_cap`` set, which for plain amalgamation is weaker than a true
+    refutation.
     """
     if bound < 1:
         raise ValueError(f"bound {bound} < 1")
     if axiom == "hereditary":
         return _verify_hereditary(spec, bound, budget)
-    if axiom == "joint_embedding":
-        return _verify_amalgamation(spec, bound, strong=True, joint=True, budget=budget)
-    if axiom == "amalgamation":
-        return _verify_amalgamation(spec, bound, strong=False, joint=False, budget=budget)
-    if axiom == "strong_amalgamation":
-        return _verify_amalgamation(spec, bound, strong=True, joint=False, budget=budget)
+    if axiom in ("joint_embedding", "amalgamation", "strong_amalgamation"):
+        return _verify_amalgamation(spec, bound, axiom, budget)
     raise ValueError(f"unknown axiom {axiom!r}")
 
 
@@ -412,14 +412,10 @@ def _verify_hereditary(spec, bound, budget) -> VerificationReport:
     return VerificationReport.verified_up_to("hereditary", bound, instances=checked)
 
 
-def _verify_amalgamation(spec, bound, strong, joint, budget) -> VerificationReport:
-    axiom = (
-        "joint_embedding"
-        if joint
-        else ("strong_amalgamation" if strong else "amalgamation")
-    )
+def _verify_amalgamation(spec, bound, axiom, budget) -> VerificationReport:
+    strong = axiom != "amalgamation"
     members = spec.members_upto(bound, budget=budget)
-    bases = [spec.empty_structure()] if joint else members
+    bases = [spec.empty_structure()] if axiom == "joint_embedding" else members
     checked = 0
     for base in bases:
         arms = []
@@ -431,10 +427,7 @@ def _verify_amalgamation(spec, bound, strong, joint, budget) -> VerificationRepo
         for i, (b0, f0) in enumerate(arms):
             for b1, f1 in arms[i:]:
                 checked += 1
-                amalgam = _find_amalgam(spec, base, b0, f0, b1, f1, strong=True)
-                if amalgam is None and not strong:
-                    amalgam = _amalgam_with_identifications(spec, base, b0, f0, b1, f1)
-                if amalgam is None:
+                if _find_amalgam(spec, b0, f0, b1, f1, strong) is None:
                     return VerificationReport.refuted(
                         axiom,
                         {
@@ -451,48 +444,68 @@ def _verify_amalgamation(spec, bound, strong, joint, budget) -> VerificationRepo
     return VerificationReport.verified_up_to(axiom, bound, instances=checked)
 
 
-def _find_amalgam(spec, base, b0, f0, b1, f1, strong):
-    """Search for C over B0 + (B1 minus the base image), gluing the base.
+def _find_amalgam(spec, b0, f0, b1, f1, strong):
+    """Search for an amalgam C of B0 and B1 over the base they share.
 
-    Point layout: B0 keeps its indices; the points of B1 outside f1(base)
-    follow in increasing order.  Tuples inside either part are inherited;
-    only the tuples mixing the two private parts are searched, relation by
-    relation (relations do not interact for property-defined classes, but a
-    final ``admits`` guards the general case).
+    Tries pairings of B0's private points with B1's private points, fewest
+    identifications first.  The empty pairing, the strong (disjoint)
+    amalgam, comes first, and ``strong`` stops the search after it.
     """
-    x1 = [v for v in range(b1.size) if v not in set(f1)]
-    to_c = {}
-    for a_pt, image in enumerate(f1):
-        to_c[image] = f0[a_pt]
-    for offset, v in enumerate(x1):
-        to_c[v] = b0.size + offset
-    size = b0.size + len(x1)
-    base_tables = {}
-    undecided: dict[str, list[tuple[int, ...]]] = {}
-    part0 = set(range(b0.size))
-    part1 = {to_c[v] for v in range(b1.size)}
-    for name, arity in spec.signature.symbols:
-        table = set(b0.relations[name])
-        for tup in b1.relations[name]:
-            table.add(tuple(to_c[x] for x in tup))
-        base_tables[name] = table
-        free = []
-        for tup in itertools.product(range(size), repeat=arity):
-            pts = set(tup)
-            if pts <= part0 or pts <= part1:
-                continue
-            free.append(tup)
-        undecided[name] = free
-    candidate = FiniteStructure.build(spec.signature, size, base_tables)
-
-    for name, _ in spec.signature.symbols:
-        filled = _fill_relation(spec, candidate, name, undecided[name])
-        if filled is None:
-            return None
-        candidate = filled
-    if spec.admits(candidate):
-        return candidate
+    amalgam = _amalgam_candidate(spec, b0, f0, b1, f1, {})
+    if amalgam is not None or strong:
+        return amalgam
+    x0 = [v for v in range(b0.size) if v not in f0]
+    x1 = [v for v in range(b1.size) if v not in f1]
+    for k in range(1, min(len(x0), len(x1)) + 1):
+        for sub0 in itertools.combinations(x0, k):
+            for sub1 in itertools.permutations(x1, k):
+                pairing = dict(zip(sub1, sub0))
+                amalgam = _amalgam_candidate(spec, b0, f0, b1, f1, pairing)
+                if amalgam is not None:
+                    return amalgam
     return None
+
+
+def _amalgam_candidate(spec, b0, f0, b1, f1, pairing):
+    """The amalgam candidate gluing B1 onto B0 through ``f1 -> f0`` and
+    ``pairing`` (B1 point -> B0 point), or None.
+
+    Point layout: B0 keeps its indices; the unglued points of B1 follow in
+    increasing order.  Atoms must agree on the glued points; tuples inside
+    either part are inherited, and only the tuples mixing the two private
+    parts are searched, relation by relation (relations do not interact for
+    property-defined classes, but a final ``admits`` guards the general
+    case).
+    """
+    to_c = dict(zip(f1, f0))
+    to_c.update(pairing)
+    size = b0.size
+    for v in range(b1.size):
+        if v not in to_c:
+            to_c[v] = size
+            size += 1
+    # f0 and f1 embed the same base, so only identified points can disagree
+    glued = [*f1, *pairing] if pairing else ()
+    tables = {}
+    for name, arity in spec.signature.symbols:
+        rel0, rel1 = b0.relations[name], b1.relations[name]
+        for tup in itertools.product(glued, repeat=arity):
+            if (tup in rel1) != (tuple(to_c[x] for x in tup) in rel0):
+                return None
+        tables[name] = set(rel0) | {tuple(to_c[x] for x in tup) for tup in rel1}
+    candidate = FiniteStructure.build(spec.signature, size, tables)
+    part0 = set(range(b0.size))
+    part1 = set(to_c.values())
+    for name, arity in spec.signature.symbols:
+        free = [
+            tup
+            for tup in itertools.product(range(size), repeat=arity)
+            if not (part0.issuperset(tup) or part1.issuperset(tup))
+        ]
+        candidate = _fill_relation(spec, candidate, name, free)
+        if candidate is None:
+            return None
+    return candidate if spec.admits(candidate) else None
 
 
 def _fill_relation(spec, structure, name, free_tuples):
@@ -538,25 +551,11 @@ def _constructive_fill(spec, structure, name, free_tuples, props):
                 return None
             return structure.with_relations({name: table | added})
         # Order-style: merge by counting how many related "pivots" precede.
+        # Free binary tuples never repeat a point and come in both
+        # orientations, so this keeps exactly one orientation per pair.
         below = {v: sum(1 for u in range(structure.size) if (u, v) in table) for v in range(structure.size)}
-        chosen = set()
-        for u, v in free_tuples:
-            key_u = (below[u], u)
-            key_v = (below[v], v)
-            if (u, v) not in chosen and (v, u) not in chosen and key_u < key_v:
-                chosen.add((u, v))
-            elif (u, v) not in chosen and (v, u) not in chosen:
-                chosen.add((v, u))
-        chosen = {t for t in chosen if t in set(free_tuples)}
-        # keep only one orientation per pair, matching the free list
-        out = set()
-        seen_pairs = set()
-        for t in sorted(chosen):
-            pair = frozenset(t)
-            if pair not in seen_pairs:
-                seen_pairs.add(pair)
-                out.add(t)
-        return structure.with_relations({name: table | out})
+        chosen = {(u, v) for u, v in free_tuples if (below[u], u) < (below[v], v)}
+        return structure.with_relations({name: table | chosen})
     if "trichotomous" in props:
         chosen = set()
         seen = set()
@@ -608,79 +607,6 @@ def _free_assignments(free_tuples, props) -> Iterator[set[tuple[int, ...]]]:
                 yield set(picks) | extra
         return
     yield from _subset_choices(free_tuples, props)
-
-
-def _amalgam_with_identifications(spec, base, b0, f0, b1, f1):
-    """Plain amalgamation: also try identifying private points pairwise."""
-    x0 = [v for v in range(b0.size) if v not in set(f0)]
-    x1 = [v for v in range(b1.size) if v not in set(f1)]
-    for k in range(1, min(len(x0), len(x1)) + 1):
-        for sub0 in itertools.combinations(x0, k):
-            for sub1 in itertools.permutations(x1, k):
-                quotient = _identify(spec, base, b0, f0, b1, f1, dict(zip(sub0, sub1)))
-                if quotient is not None:
-                    return quotient
-    return None
-
-
-def _identify(spec, base, b0, f0, b1, f1, pairing):
-    """Amalgam candidate where ``pairing`` maps some of B0's private points
-    onto B1's private points; atoms must agree where both sides decide."""
-    to_c = {}
-    for v in range(b0.size):
-        to_c[("0", v)] = v
-    next_idx = b0.size
-    for a_pt, image in enumerate(f1):
-        to_c[("1", image)] = f0[a_pt]
-    for v0, v1 in pairing.items():
-        to_c[("1", v1)] = v0
-    for v in range(b1.size):
-        if ("1", v) not in to_c:
-            to_c[("1", v)] = next_idx
-            next_idx += 1
-    size = next_idx
-    tables = {}
-    for name, arity in spec.signature.symbols:
-        table = set()
-        for tup in b0.relations[name]:
-            table.add(tup)
-        for tup in b1.relations[name]:
-            table.add(tuple(to_c[("1", x)] for x in tup))
-        # agreement check: a tuple decided absent on one side but present on
-        # the other (within the shared image) makes the quotient invalid
-        shared = {to_c[("1", v)] for v in range(b1.size)} & set(range(b0.size))
-        for tup in itertools.product(sorted(shared), repeat=arity):
-            in0 = tup in b0.relations[name] if set(tup) <= set(range(b0.size)) else None
-            back1 = _preimage_tuple(tup, to_c, b1.size)
-            in1 = back1 in b1.relations[name] if back1 is not None else None
-            if in0 is not None and in1 is not None and in0 != in1:
-                return None
-        tables[name] = table
-    candidate = FiniteStructure.build(spec.signature, size, tables)
-    # fill tuples not decided by either part
-    part0 = set(range(b0.size))
-    part1 = {to_c[("1", v)] for v in range(b1.size)}
-    for name, arity in spec.signature.symbols:
-        free = [
-            tup
-            for tup in itertools.product(range(size), repeat=arity)
-            if not (set(tup) <= part0 or set(tup) <= part1)
-        ]
-        filled = _fill_relation(spec, candidate, name, free)
-        if filled is None:
-            return None
-        candidate = filled
-    return candidate if spec.admits(candidate) else None
-
-
-def _preimage_tuple(tup, to_c, b1_size):
-    inverse = {}
-    for v in range(b1_size):
-        inverse.setdefault(to_c[("1", v)], v)
-    try:
-        return tuple(inverse[x] for x in tup)
-    except KeyError:
-        return None
 
 
 # -- property preservation under superposition -------------------------------

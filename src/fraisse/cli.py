@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -43,7 +44,14 @@ def _emit(report: dict, args) -> None:
     if getattr(args, "timing", False):
         report["elapsed_seconds"] = round(time.time() - args._t0, 3)
     text = json.dumps(report, sort_keys=True, indent=2 if args.pretty else None)
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader has gone (``fraisse ... | head``): point stdout at
+        # devnull so the flush at exit cannot raise, and let the command
+        # return its own exit code.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def _report_exit(status: str) -> int:

@@ -188,19 +188,6 @@ def map_refs(formula, fn):
     return formula
 
 
-def map_atoms(formula, fn):
-    """Rebuild a formula applying ``fn`` to every relation atom."""
-    if isinstance(formula, Atom):
-        return fn(formula)
-    if isinstance(formula, Not):
-        return Not(map_atoms(formula.inner, fn))
-    if isinstance(formula, And):
-        return And(tuple(map_atoms(p, fn) for p in formula.parts))
-    if isinstance(formula, Or):
-        return Or(tuple(map_atoms(p, fn) for p in formula.parts))
-    return formula
-
-
 # -- the expression grammar -------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 
+import hashlib
 import itertools
 import random
 
@@ -21,6 +22,7 @@ from fraisse.classes import (
     superpose,
     verify_class_axioms,
 )
+from fraisse.classes import _amalgam_candidate, _find_amalgam
 from fraisse.errors import TransitivityOnNonBinary, UnknownRelation
 from fraisse.structures import FiniteStructure, Signature
 
@@ -241,6 +243,116 @@ def test_at_most_one_P_fails_strong_joint_embedding():
     assert report.status == "refuted"
     b0, b1 = report.witness["B0"], report.witness["B1"]
     assert len(b0.relations["P"]) == 1 and len(b1.relations["P"]) == 1
+
+
+def matching_class():
+    """Graphs of maximum degree 1: two edges through a shared point force
+    degree 2, so only an identification amalgamates them."""
+
+    def max_degree_one(s):
+        degrees = [0] * s.size
+        for a, b in s.relations["E"]:
+            if a < b:
+                degrees[a] += 1
+                degrees[b] += 1
+        return all(d <= 1 for d in degrees)
+
+    pred = MembershipPredicate(max_degree_one, ("E",), ("E",), "matching")
+    return ClassSpec(
+        "matching",
+        Signature((("E", 2),)),
+        (("E", frozenset(("symmetric", "irreflexive"))),),
+        (pred,),
+    )
+
+
+def test_amalgamation_through_identification():
+    matching = matching_class()
+    strong = verify_class_axioms(matching, 3, "strong_amalgamation")
+    assert strong.status == "refuted"
+    assert verify_class_axioms(matching, 3, "amalgamation")
+    # the strong refutation's instance amalgamates once a point is identified
+    w = strong.witness
+    args = (matching, w["B0"], w["f0"], w["B1"], w["f1"])
+    assert _find_amalgam(*args, strong=True) is None
+    amalgam = _find_amalgam(*args, strong=False)
+    assert amalgam.size == strong.details["cap"] - 1
+    assert matching.admits(amalgam)
+
+    p = at_most_one_P()
+    assert verify_class_axioms(p, 3, "joint_embedding").status == "refuted"
+    assert verify_class_axioms(p, 3, "strong_amalgamation").status == "refuted"
+    assert verify_class_axioms(p, 3, "amalgamation")
+
+
+def test_amalgam_candidate_needs_atom_agreement():
+    # over A = {0}: B0 has the edge 0-1, B1 does not; identifying the two
+    # private points would put an edge into B1's image
+    g = builtin("G")
+    edge = FiniteStructure.build(g.signature, 2, {"E": {(0, 1), (1, 0)}})
+    no_edge = FiniteStructure.build(g.signature, 2, {"E": set()})
+    assert _amalgam_candidate(g, edge, [0], no_edge, [0], {1: 1}) is None
+    assert _amalgam_candidate(g, edge, [0], edge, [0], {1: 1}) == edge
+    assert _amalgam_candidate(g, edge, [0], no_edge, [0], {}).size == 3
+
+
+AXIOMS = ("hereditary", "joint_embedding", "amalgamation", "strong_amalgamation")
+
+# sha256 over the four axiom reports (``dumps()``, newline-joined): the
+# built-ins and their pairwise superpositions at bound 2, the matching class
+# and P<=1 at bound 3
+AXIOM_REPORT_PINS = {
+    "S": "55b0ca18050ef3ddc6f1897843a294ad539e30912425c4621fb2fa23998f9a18",
+    "LO": "1c0c46e681dd24972e40d9dd54aceb654fee1bf76caa5dc5a2ee72fcf7f23e8b",
+    "E": "620ba951833128b9566e280189e7f666d91dc811a2738906575a011fa5c789ea",
+    "G": "620ba951833128b9566e280189e7f666d91dc811a2738906575a011fa5c789ea",
+    "T": "1c0c46e681dd24972e40d9dd54aceb654fee1bf76caa5dc5a2ee72fcf7f23e8b",
+    "H3": "55b0ca18050ef3ddc6f1897843a294ad539e30912425c4621fb2fa23998f9a18",
+    "S*S": "55b0ca18050ef3ddc6f1897843a294ad539e30912425c4621fb2fa23998f9a18",
+    "S*LO": "1c0c46e681dd24972e40d9dd54aceb654fee1bf76caa5dc5a2ee72fcf7f23e8b",
+    "S*E": "620ba951833128b9566e280189e7f666d91dc811a2738906575a011fa5c789ea",
+    "S*G": "620ba951833128b9566e280189e7f666d91dc811a2738906575a011fa5c789ea",
+    "S*T": "1c0c46e681dd24972e40d9dd54aceb654fee1bf76caa5dc5a2ee72fcf7f23e8b",
+    "S*H3": "55b0ca18050ef3ddc6f1897843a294ad539e30912425c4621fb2fa23998f9a18",
+    "LO*LO": "2e3237e9c6b0530eec323e160c6a896f9a9067d1e68d1e31a49cef332c676507",
+    "LO*E": "2e3237e9c6b0530eec323e160c6a896f9a9067d1e68d1e31a49cef332c676507",
+    "LO*G": "2e3237e9c6b0530eec323e160c6a896f9a9067d1e68d1e31a49cef332c676507",
+    "LO*T": "2e3237e9c6b0530eec323e160c6a896f9a9067d1e68d1e31a49cef332c676507",
+    "LO*H3": "1c0c46e681dd24972e40d9dd54aceb654fee1bf76caa5dc5a2ee72fcf7f23e8b",
+    "E*E": "57f70bd1091a2887ca1e60f0bf074013739a4ecd2cfd0cd99c088e8cddbc615d",
+    "E*G": "57f70bd1091a2887ca1e60f0bf074013739a4ecd2cfd0cd99c088e8cddbc615d",
+    "E*T": "2e3237e9c6b0530eec323e160c6a896f9a9067d1e68d1e31a49cef332c676507",
+    "E*H3": "620ba951833128b9566e280189e7f666d91dc811a2738906575a011fa5c789ea",
+    "G*G": "57f70bd1091a2887ca1e60f0bf074013739a4ecd2cfd0cd99c088e8cddbc615d",
+    "G*T": "2e3237e9c6b0530eec323e160c6a896f9a9067d1e68d1e31a49cef332c676507",
+    "G*H3": "620ba951833128b9566e280189e7f666d91dc811a2738906575a011fa5c789ea",
+    "T*T": "2e3237e9c6b0530eec323e160c6a896f9a9067d1e68d1e31a49cef332c676507",
+    "T*H3": "1c0c46e681dd24972e40d9dd54aceb654fee1bf76caa5dc5a2ee72fcf7f23e8b",
+    "H3*H3": "55b0ca18050ef3ddc6f1897843a294ad539e30912425c4621fb2fa23998f9a18",
+    "matching": "ec39d458af4a7d9be05847c47c809cd81805c1262c9a44070b0974869cc4c090",
+    "P<=1": "8db65f38e0ac62059809c6c8130860edc2f8ae4d17c85dc70b10a25c51b98c61",
+}
+
+
+def _axiom_pin_classes():
+    for name in BUILTIN_NAMES:
+        yield name, builtin(name), 2
+    for a, b in itertools.combinations_with_replacement(BUILTIN_NAMES, 2):
+        yield f"{a}*{b}", superpose(builtin(a), builtin(b)), 2
+    yield "matching", matching_class(), 3
+    yield "P<=1", at_most_one_P(), 3
+
+
+def test_axiom_reports_are_pinned():
+    digests = {
+        name: hashlib.sha256(
+            "\n".join(
+                verify_class_axioms(spec, bound, axiom).dumps() for axiom in AXIOMS
+            ).encode()
+        ).hexdigest()
+        for name, spec, bound in _axiom_pin_classes()
+    }
+    assert digests == AXIOM_REPORT_PINS
 
 
 def test_property_preservation_under_superposition():

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fraisse
 from fraisse.classes import builtin
 from fraisse.cli import main
 from fraisse.config import identity_interpretation, parse_formula
@@ -115,6 +119,38 @@ def test_ramsey_box_directed_overflow_is_cap_hit(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("cap hit:") and err.count("\n") == 1
+
+
+# -- a reader that closes the pipe early ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["enumerate", "--class", "G", "--n", "4"], 0),
+        (["self-sim", "--class", "E", "--bound", "2"], 1),
+        (["--version"], 0),
+    ],
+)
+def test_closed_pipe_keeps_exit_code_without_traceback(argv, expected):
+    # the read end is closed before the child starts, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(fraisse.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "fraisse.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert child.stderr == b""
+    assert child.returncode == expected
 
 
 # -- exit code 3 (usage) ----------------------------------------------------------------
