@@ -296,7 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
             "--timing", action="store_true", help="include elapsed time (non-reproducible)"
         )
         if budget:
-            p.add_argument("--budget", type=int, default=None, help="search node cap")
+            p.add_argument(
+                "--budget",
+                type=int,
+                default=None,
+                help="search node cap; in embedding and witness searches a node "
+                "is a candidate value that survived forward filtering",
+            )
 
     p = sub.add_parser("enumerate", help="members of a class at one size")
     p.add_argument("--class", dest="class_expr", required=True)

@@ -34,10 +34,10 @@ import itertools
 import json
 import multiprocessing
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .classes import ClassSpec, parse_class_expr, superpose
 from .errors import (
-    BudgetExceeded,
     NotParameterFree,
     NotReductive,
     OutOfRange,
@@ -46,7 +46,13 @@ from .errors import (
 )
 from .limits import GenericModel
 from .report import VerificationReport
-from .structures import FiniteStructure, Signature, enumerate_structures_upto, find_embeddings
+from .structures import (
+    FiniteStructure,
+    Signature,
+    enumerate_structures_upto,
+    find_embeddings,
+    forward_search,
+)
 
 
 # -- references and formulas ----------------------------------------------------
@@ -477,11 +483,12 @@ def verify_configuration(
                 witnesses[i] = [tuple(t) for t in proposal]
         searched = [i for i in range(len(structures)) if witnesses[i] is None]
     if jobs > 1 and searched:
-        tasks = [
-            (interp.dumps(), target.dumps(), structures[i].dumps(), budget)
-            for i in searched
-        ]
-        with multiprocessing.Pool(jobs) as pool:
+        tasks = [(structures[i].dumps(), budget) for i in searched]
+        with multiprocessing.Pool(
+            jobs,
+            initializer=_load_search_inputs,
+            initargs=(interp.dumps(), target.dumps()),
+        ) as pool:
             results = pool.map(_search_task, tasks)
         for i, result in zip(searched, results):
             witnesses[i] = result
@@ -514,12 +521,24 @@ def verify_configuration(
     )
 
 
+# The interpretation and target structure of a ``jobs > 1`` worker process,
+# loaded once per worker so its target's bit rows are built once.
+_WORKER_INPUTS = None
+
+
+def _load_search_inputs(interp_text, target_text):
+    global _WORKER_INPUTS
+    _WORKER_INPUTS = (
+        InterpretationMap.loads(interp_text),
+        GenericModel.loads(target_text).structure,
+    )
+
+
 def _search_task(task):
-    interp_text, target_text, structure_text, budget = task
-    interp = InterpretationMap.loads(interp_text)
-    target = GenericModel.loads(target_text)
+    structure_text, budget = task
+    interp, target_structure = _WORKER_INPUTS
     structure = FiniteStructure.loads(structure_text)
-    return search_witness(interp, target.structure, structure, budget=budget)
+    return search_witness(interp, target_structure, structure, budget=budget)
 
 
 def search_witness(
@@ -528,64 +547,158 @@ def search_witness(
     structure: FiniteStructure,
     budget: int | None = None,
 ):
-    """Backtracking search for one witness map, coordinate by coordinate.
+    """Forward-checking search for one witness map, coordinate by
+    coordinate.
 
     Variables are the coordinates of the witness tuples in element-major
-    order; every biconditional is evaluated as soon as the coordinates it
-    references are all assigned, pruning early.
+    order, and values are target points tried in ascending order, so the
+    witness found is the lexicographically first.  Each biconditional is
+    compiled to the bitset of values of its last coordinate that satisfy
+    it (:func:`_allowed_values`); :func:`~fraisse.structures.forward_search`
+    filters that coordinate's candidates as soon as the other coordinates
+    it reads are assigned, and backtracks on an empty candidate set.  A
+    search node is a candidate value that survived this filtering; more
+    than ``budget`` nodes raise :class:`BudgetExceeded`.
     """
     n = interp.tuple_length
     size = structure.size
-    nvars = n * size
-    msize = target_structure.size
     params = interp.parameters
+    full = (1 << target_structure.size) - 1
 
     constraints = []
     for name, arity in structure.signature.symbols:
         formula = interp.formula(name)
         refs = [r for r in formula_refs(formula) if isinstance(r, Coord)]
         for tup in itertools.product(range(size), repeat=arity):
-            needed = {tup[r.slot] * n + r.coord for r in refs}
-            due = max(needed) if needed else -1
-            constraints.append(
-                (due, formula, tup, structure.holds(name, tup))
-            )
-    due_map: dict[int, list] = {}
-    for due, formula, tup, expected in constraints:
-        due_map.setdefault(due, []).append((formula, tup, expected))
-    # constraints with no coordinate references decide immediately
-    for formula, tup, expected in due_map.get(-1, []):
-        tuples = [(0,) * n] * max(1, size)
-        if formula.evaluate(target_structure, tuples, params) != expected:
-            return None
-
-    assignment = [0] * nvars
-    nodes = 0
-
-    def rec(v):
-        nonlocal nodes
-        if v == nvars:
-            return True
-        for value in range(msize):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceeded(f"witness search exceeded {budget} nodes")
-            assignment[v] = value
-            ok = True
-            for formula, tup, expected in due_map.get(v, []):
-                tuples = [
-                    tuple(assignment[e * n : (e + 1) * n]) for e in tup
-                ]
+            expected = structure.holds(name, tup)
+            variables = sorted({tup[r.slot] * n + r.coord for r in refs})
+            if not variables:
+                # constraints with no coordinate references decide immediately
+                tuples = [(0,) * n] * max(1, size)
                 if formula.evaluate(target_structure, tuples, params) != expected:
-                    ok = False
-                    break
-            if ok and rec(v + 1):
-                return True
-        return False
+                    return None
+                continue
+            allowed = _allowed_values(
+                formula if expected else Not(formula),
+                lambda ref, tup=tup: tup[ref.slot] * n + ref.coord,
+                params,
+                variables[-1],
+                target_structure,
+                full,
+            )
+            constraints.append((tuple(variables), allowed))
 
-    if rec(0):
-        return [tuple(assignment[e * n : (e + 1) * n]) for e in range(size)]
-    return None
+    solutions = forward_search(
+        [full] * (n * size), constraints, limit=1, budget=budget, what="witness search"
+    )
+    if not solutions:
+        return None
+    values = solutions[0]
+    return [tuple(values[e * n : (e + 1) * n]) for e in range(size)]
+
+
+def _allowed_values(formula, var_of, params, last, target, full):
+    """Compile a formula for forward checking.
+
+    Returns ``allowed(values)``: the bitset of values of variable ``last``
+    for which the formula holds in ``target``, given ``values`` of the
+    other variables it reads (``var_of`` maps a coordinate to its
+    variable).  A binary atom with one end at ``last`` is a row of the
+    target's ``bit_rows``, an equality with ``last`` is one bit, and the
+    connectives are bit operations; atoms of other arities test each
+    candidate value.
+    """
+    size = target.size
+
+    def ref_value(ref):
+        """None for ``last``, else a function of ``values``."""
+        if isinstance(ref, Coord):
+            v = var_of(ref)
+            return None if v == last else itemgetter(v)
+        p = params[ref.index]
+        return lambda values: p
+
+    def row_of(rows, ref):
+        if isinstance(ref, Coord):
+            v = var_of(ref)
+            return lambda values: rows[values[v]]
+        p = params[ref.index]
+        mask = rows[p] if 0 <= p < size else 0
+        return lambda values: mask
+
+    def constant(mask):
+        return lambda values: mask
+
+    if isinstance(formula, Const):
+        return constant(full if formula.value else 0)
+    if isinstance(formula, Not):
+        inner = _allowed_values(formula.inner, var_of, params, last, target, full)
+        return lambda values: full ^ inner(values)
+    if isinstance(formula, (And, Or)):
+        parts = [
+            _allowed_values(p, var_of, params, last, target, full)
+            for p in formula.parts
+        ]
+        if isinstance(formula, And):
+
+            def conj(values):
+                mask = full
+                for part in parts:
+                    mask &= part(values)
+                    if not mask:
+                        break
+                return mask
+
+            return conj
+
+        def disj(values):
+            mask = 0
+            for part in parts:
+                mask |= part(values)
+                if mask == full:
+                    break
+            return mask
+
+        return disj
+    if isinstance(formula, Eq):
+        left, right = ref_value(formula.left), ref_value(formula.right)
+        if left is None and right is None:
+            return constant(full)
+        if left is None or right is None:
+            other = formula.right if left is None else formula.left
+            if isinstance(other, Coord):
+                v = var_of(other)
+                return lambda values: 1 << values[v]
+            p = params[other.index]
+            return constant(1 << p if 0 <= p < size else 0)
+        return lambda values: full if left(values) == right(values) else 0
+
+    name = formula.name
+    getters = [ref_value(a) for a in formula.args]
+    rows = target.bit_rows.get(name) if len(getters) == 2 else None
+    if rows is not None and None in getters:
+        out_rows, in_rows, loops = rows
+        first, second = formula.args
+        if getters[0] is None and getters[1] is None:
+            return constant(loops)
+        if getters[0] is None:
+            return row_of(in_rows, second)
+        return row_of(out_rows, first)
+    if None not in getters:
+        return lambda values: (
+            full if target.holds(name, tuple(g(values) for g in getters)) else 0
+        )
+
+    def scan(values):
+        point = [None if g is None else g(values) for g in getters]
+        mask = 0
+        for x in range(size):
+            image = tuple(x if g is None else p for g, p in zip(getters, point))
+            if target.holds(name, image):
+                mask |= 1 << x
+        return mask
+
+    return scan
 
 
 # -- parameter elimination --------------------------------------------------------------

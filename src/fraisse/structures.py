@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -132,6 +132,30 @@ class FiniteStructure:
             raise UnknownRelation(f"no relation named {name!r}")
         return tup in self.relations[name]
 
+    @cached_property
+    def bit_rows(self) -> dict[str, tuple[list[int], list[int], int]]:
+        """Per binary relation R: the out-rows ``{x : R(v, x)}`` and
+        in-rows ``{x : R(x, v)}`` of every point v, and the loop mask
+        ``{x : R(x, x)}``, as int bitsets over the universe.
+
+        Built once per structure; the searches of :func:`forward_search`
+        filter candidate sets with them.
+        """
+        index = {}
+        for name, arity in self.signature.symbols:
+            if arity != 2:
+                continue
+            out_rows = [0] * self.size
+            in_rows = [0] * self.size
+            loops = 0
+            for a, b in self.relations[name]:
+                out_rows[a] |= 1 << b
+                in_rows[b] |= 1 << a
+                if a == b:
+                    loops |= 1 << a
+            index[name] = (out_rows, in_rows, loops)
+        return index
+
     # -- construction helpers -------------------------------------------
 
     @classmethod
@@ -236,8 +260,12 @@ class FiniteStructure:
         return self if best is None else best
 
     def canonical_key(self) -> tuple:
-        form = self.canonical_form()
-        return (form.signature.symbols, form.size, form.encode())
+        return self.canonical_form().form_key()
+
+    def form_key(self) -> tuple:
+        """The isomorphism-class key of a structure already in canonical
+        form."""
+        return (self.signature.symbols, self.size, self.encode())
 
     def is_isomorphic(self, other: "FiniteStructure") -> bool:
         if self.signature != other.signature or self.size != other.size:
@@ -299,27 +327,119 @@ class Embedding:
                         f"{name}{tup} -> {name}{image} is not preserved/reflected"
                     )
 
+    @classmethod
+    def trusted(
+        cls, source: FiniteStructure, target: FiniteStructure, mapping: tuple[int, ...]
+    ) -> "Embedding":
+        """An embedding the caller has already checked, built without the
+        re-check of ``__post_init__``."""
+        emb = object.__new__(cls)
+        object.__setattr__(emb, "source", source)
+        object.__setattr__(emb, "target", target)
+        object.__setattr__(emb, "mapping", mapping)
+        return emb
+
     def __call__(self, x: int) -> int:
         return self.mapping[x]
 
 
-def _extends_partial(
-    source: FiniteStructure,
-    target: FiniteStructure,
-    partial: list[int],
-    candidate: int,
-) -> bool:
-    """Can ``candidate`` serve as the image of point ``len(partial)``?"""
-    k = len(partial)
-    trial = partial + [candidate]
-    for name, arity in source.signature.symbols:
-        for tup in itertools.product(range(k + 1), repeat=arity):
-            if k not in tup:
+def forward_search(
+    domains: Sequence[int],
+    constraints: Iterable[tuple[tuple[int, ...], object]],
+    distinct: bool = False,
+    limit: int | None = None,
+    budget: int | None = None,
+    what: str = "search",
+) -> list[tuple[int, ...]]:
+    """Solutions of a finite constraint problem by forward checking.
+
+    Variables are ``0 .. len(domains)-1``, assigned in that order;
+    ``domains[v]`` is the int bitset of v's candidate values, tried in
+    ascending order.  A constraint is ``(variables, allowed)``: the sorted
+    variables it reads, and ``allowed(values)``, the bitset of values of
+    its last variable that satisfy it given the values of the others in
+    the list ``values``.  A one-variable constraint filters its domain up
+    front.  Any other filters its last variable's domain as soon as every
+    other variable it reads is assigned, and a domain left empty
+    backtracks at once (Haralick & Elliott 1980).  ``distinct`` asks for
+    pairwise distinct values.
+
+    Filtering only removes values that no solution uses, so the solutions
+    (all, or the first ``limit``) come back in the same lexicographic
+    order as from plain backtracking that checks each constraint when its
+    last variable is assigned, after visiting no more nodes.  A node is a
+    candidate value that survived forward filtering; more than ``budget``
+    nodes raise :class:`BudgetExceeded`.
+    """
+    domains = list(domains)
+    nvars = len(domains)
+    values = [0] * nvars
+    checks: list[list] = [[] for _ in range(nvars)]
+    for variables, allowed in constraints:
+        if len(variables) == 1:
+            domains[variables[0]] &= allowed(values)
+        else:
+            checks[variables[-2]].append((variables[-1], allowed))
+    found: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def rec(v: int, doms: list[int], free: int) -> bool:
+        nonlocal nodes
+        if v == nvars:
+            found.append(tuple(values))
+            return limit is not None and len(found) >= limit
+        dom = doms[v] & free
+        later = checks[v]
+        while dom:
+            low = dom & -dom
+            dom ^= low
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceeded(f"{what} exceeded {budget} nodes")
+            values[v] = low.bit_length() - 1
+            rest = free ^ low if distinct else free
+            nxt = doms
+            if later:
+                nxt = doms.copy()
+                for last, allowed in later:
+                    narrowed = nxt[last] & rest & allowed(values)
+                    if not narrowed:
+                        break
+                    nxt[last] = narrowed
+                else:
+                    if rec(v + 1, nxt, rest):
+                        return True
                 continue
-            image = tuple(trial[x] for x in tup)
-            if source.holds(name, tup) != target.holds(name, image):
-                return False
-    return True
+            if rec(v + 1, nxt, rest):
+                return True
+        return False
+
+    rec(0, domains, -1)
+    return found
+
+
+def _tuple_mask(table, tup, last, holds, size):
+    """``allowed`` for one source tuple of any arity: the values x of
+    variable ``last`` for which the image tuple, with x in place of
+    ``last``, is in ``table`` exactly when ``holds``."""
+
+    def allowed(values):
+        mask = 0
+        for x in range(size):
+            image = tuple(x if a == last else values[a] for a in tup)
+            if (image in table) == holds:
+                mask |= 1 << x
+        return mask
+
+    return allowed
+
+
+def _pair_mask(out_rows, in_rows, i, fwd, bwd):
+    """``allowed`` for a later point j against point i: its image must
+    sit in the out-row and in-row of i's image.  ``fwd`` and ``bwd`` are
+    0, or the full mask where the source lacks that direction, so the xor
+    takes the row's complement."""
+    return lambda values: (out_rows[values[i]] ^ fwd) & (in_rows[values[i]] ^ bwd)
 
 
 def find_embeddings(
@@ -328,37 +448,44 @@ def find_embeddings(
     limit: int | None = None,
     budget: int | None = None,
 ) -> list[Embedding]:
-    """All (or the first ``limit``) strong embeddings of source into target.
+    """All (or the first ``limit``) strong embeddings of source into target,
+    in lexicographic order of their mappings.
 
-    Backtracking over images point by point, checking every relation tuple
-    that becomes decided.  Raises :class:`BudgetExceeded` if more than
-    ``budget`` search nodes are visited.
+    A :func:`forward_search` over the images of the source points, with
+    injectivity as distinctness and one constraint per source tuple:
+    binary relations read the target's :attr:`~FiniteStructure.bit_rows`,
+    other arities test each candidate.  Raises :class:`BudgetExceeded` if
+    more than ``budget`` search nodes (candidate images that survived
+    forward filtering) are visited.
     """
     if source.signature != target.signature:
         raise SignatureMismatch("embedding endpoints have different signatures")
-    found: list[Embedding] = []
-    nodes = 0
-
-    def rec(partial: list[int], used: set[int]) -> bool:
-        nonlocal nodes
-        if len(partial) == source.size:
-            found.append(Embedding(source, target, tuple(partial)))
-            return limit is not None and len(found) >= limit
-        for candidate in range(target.size):
-            if candidate in used:
-                continue
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceeded(f"embedding search exceeded {budget} nodes")
-            if _extends_partial(source, target, partial, candidate):
-                used.add(candidate)
-                if rec(partial + [candidate], used):
-                    return True
-                used.discard(candidate)
-        return False
-
-    rec([], set())
-    return found
+    n = source.size
+    full = (1 << target.size) - 1
+    constraints = []
+    for name, arity in source.signature.symbols:
+        table = source.relations[name]
+        if arity != 2:
+            for tup in itertools.product(range(n), repeat=arity):
+                variables = tuple(sorted(set(tup)))
+                allowed = _tuple_mask(
+                    target.relations[name], tup, variables[-1], tup in table, target.size
+                )
+                constraints.append((variables, allowed))
+            continue
+        out_rows, in_rows, loops = target.bit_rows[name]
+        for i in range(n):
+            loop = loops if (i, i) in table else full ^ loops
+            constraints.append(((i,), lambda values, loop=loop: loop))
+            for j in range(i + 1, n):
+                fwd = 0 if (i, j) in table else full
+                bwd = 0 if (j, i) in table else full
+                constraints.append(((i, j), _pair_mask(out_rows, in_rows, i, fwd, bwd)))
+    solutions = forward_search(
+        [full] * n, constraints, distinct=True, limit=limit, budget=budget,
+        what="embedding search",
+    )
+    return [Embedding.trusted(source, target, mapping) for mapping in solutions]
 
 
 def glue(
@@ -420,9 +547,8 @@ def enumerate_structures(
                     raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
                 if not spec.admits(child):
                     continue
-                key = child.canonical_key()
-                if key not in seen:
-                    seen[key] = child.canonical_form()
+                form = child.canonical_form()
+                seen.setdefault(form.form_key(), form)
         layer = [seen[k] for k in sorted(seen)]
     return layer
 

@@ -8,7 +8,7 @@ import pytest
 import fraisse
 from fraisse.classes import builtin
 from fraisse.cli import main
-from fraisse.config import identity_interpretation, parse_formula
+from fraisse.config import identity_interpretation, parse_formula, product_configuration
 from fraisse.config import InterpretationMap
 
 
@@ -185,14 +185,17 @@ def test_missing_config_file(capsys, tmp_path):
 # -- verify-config via files --------------------------------------------------------------
 
 
-@pytest.fixture()
-def config_files(tmp_path, graph_model):
-    interp = identity_interpretation(builtin("G"))
+def write_config_files(tmp_path, graph_model, interp):
     config_path = tmp_path / "interp.json"
     target_path = tmp_path / "target.json"
     config_path.write_text(json.dumps(interp.to_json()))
     target_path.write_text(graph_model.dumps())
     return str(config_path), str(target_path)
+
+
+@pytest.fixture()
+def config_files(tmp_path, graph_model):
+    return write_config_files(tmp_path, graph_model, identity_interpretation(builtin("G")))
 
 
 def test_verify_config_verified(capsys, config_files):
@@ -206,14 +209,16 @@ def test_verify_config_verified(capsys, config_files):
     assert data["recheck"] == "verified"
 
 
-def test_verify_config_deterministic_and_jobs_equivalent(capsys, config_files):
-    config_path, target_path = config_files
-    argv = ("verify-config", "--config", config_path, "--target", target_path)
-    _, out1, _ = run(capsys, *argv)
-    _, out2, _ = run(capsys, *argv)
-    assert out1 == out2  # byte-identical reruns
-    _, out4, _ = run(capsys, *argv, "--jobs", "4")
-    assert json.loads(out4) == json.loads(out1)
+def test_verify_config_deterministic_and_jobs_equivalent(capsys, tmp_path, graph_model):
+    ident = identity_interpretation(builtin("G"))
+    for interp in (ident, product_configuration(ident, ident)):
+        config_path, target_path = write_config_files(tmp_path, graph_model, interp)
+        argv = ("verify-config", "--config", config_path, "--target", target_path, "--bound", "3")
+        _, out1, _ = run(capsys, *argv)
+        _, out2, _ = run(capsys, *argv)
+        assert out1 == out2  # byte-identical reruns
+        _, out4, _ = run(capsys, *argv, "--jobs", "4")
+        assert json.loads(out4) == json.loads(out1)
 
 
 def test_verify_config_refuted(capsys, tmp_path, graph_model):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,9 +163,46 @@ def test_inconclusive_when_target_too_small():
 
 def test_jobs_agree_with_sequential(graph_model):
     ident = identity_interpretation(builtin("G"))
-    seq = verify_configuration(ident, graph_model, 3)
-    par = verify_configuration(ident, graph_model, 3, jobs=4)
-    assert seq.to_json() == par.to_json()
+    for interp in (ident, product_configuration(ident, ident)):
+        seq = verify_configuration(interp, graph_model, 3)
+        par = verify_configuration(interp, graph_model, 3, jobs=4)
+        assert seq.to_json() == par.to_json()
+
+
+def test_product_at_bound_4_within_budget(graph_model):
+    # plain backtracking ran out of 100,000 nodes on some of the 301 index
+    # structures; forward checking needs a handful per structure
+    ident = identity_interpretation(builtin("G"))
+    cert = verify_configuration(
+        product_configuration(ident, ident), graph_model, 4, budget=100_000
+    )
+    assert isinstance(cert, ConfigCertificate)
+    assert len(cert.structures) == 301
+    assert cert.recheck().status == "verified"
+
+
+# sha256 of verify_configuration(map, graph_model, 4).dumps(), frozen from
+# the plain backtracking search before forward checking replaced it
+CERTIFICATE_SHA256 = {
+    "identity": "c2dcf2d43f04cbc2e2a734ac7c0dbdff10c48c43a540f296003fff78a954d618",
+    "composed": "c2dcf2d43f04cbc2e2a734ac7c0dbdff10c48c43a540f296003fff78a954d618",
+    "padded": "fbae95acdfd5fb0134f103d73d055206472800ccda57791b3ac56f422a63554d",
+}
+
+
+@pytest.mark.parametrize("label", sorted(CERTIFICATE_SHA256))
+def test_bound_4_certificates_are_pinned(label, graph_model):
+    from fraisse.ranks import pad_interpretation
+
+    ident = identity_interpretation(builtin("G"))
+    interp = {
+        "identity": ident,
+        "composed": compose_configurations(ident, ident),
+        "padded": pad_interpretation(ident, 2),
+    }[label]
+    cert = verify_configuration(interp, graph_model, 4)
+    digest = hashlib.sha256(cert.dumps().encode()).hexdigest()
+    assert digest == CERTIFICATE_SHA256[label]
 
 
 def test_witness_search_allows_non_injective_maps(graph_model):

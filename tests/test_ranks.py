@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -50,6 +51,17 @@ def test_quad_certificate_at_bound_3(name, graph_model):
     assert interp.tuple_length == 2
     assert len(interp.formulas) == 3
     assert cert.recheck()
+
+
+# sha256 of build_quad_configuration(E, 2, graph_model, bound=4)[1].dumps(),
+# frozen before forward checking replaced plain backtracking in
+# find_embeddings
+QUAD_E_B4_SHA256 = "22eca7ab122350279307c13ae3a284087127bd73fd3b17fd501f727ed5c68b15"
+
+
+def test_quad_E_certificate_at_bound_4_is_pinned(graph_model):
+    _, cert = build_quad_configuration(builtin("E"), 2, graph_model, bound=4)
+    assert hashlib.sha256(cert.dumps().encode()).hexdigest() == QUAD_E_B4_SHA256
 
 
 @pytest.mark.parametrize("name", QUAD_CLASSES)

@@ -160,3 +160,28 @@ def test_enumeration_is_canonical_and_deduplicated():
 def test_enumerate_upto_sizes():
     members = enumerate_structures_upto(builtin("E"), 3)
     assert [m.size for m in members] == [1, 2, 2, 3, 3, 3]
+
+
+def test_enumeration_computes_one_canonical_form_per_admitted_child(monkeypatch):
+    spec = builtin("G")
+    admitted = 0
+    forms = 0
+    admits = type(spec).admits
+    canonical_form = FiniteStructure.canonical_form
+
+    def counting_admits(self, structure):
+        nonlocal admitted
+        ok = admits(self, structure)
+        admitted += ok
+        return ok
+
+    def counting_form(self):
+        nonlocal forms
+        forms += 1
+        return canonical_form(self)
+
+    monkeypatch.setattr(type(spec), "admits", counting_admits)
+    monkeypatch.setattr(FiniteStructure, "canonical_form", counting_form)
+    members = enumerate_structures(spec, 4)
+    assert len(members) == 11
+    assert forms == admitted
