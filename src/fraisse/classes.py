@@ -493,7 +493,7 @@ def _amalgam_candidate(spec, b0, f0, b1, f1, pairing):
             if (tup in rel1) != (tuple(to_c[x] for x in tup) in rel0):
                 return None
         tables[name] = set(rel0) | {tuple(to_c[x] for x in tup) for tup in rel1}
-    candidate = FiniteStructure.build(spec.signature, size, tables)
+    candidate = b0.disjoint_union_universe(size - b0.size).with_relations(tables)
     part0 = set(range(b0.size))
     part1 = set(to_c.values())
     for name, arity in spec.signature.symbols:
@@ -765,6 +765,11 @@ def check_self_similarity(
         raise ValueError(f"bound {bound} < 2")
     nodes = 0
     for c_struct in spec.members_upto(bound, budget=budget):
+        # C's one-point extensions inside the class, shared by every
+        # (A, p, S, tau) over C
+        extensions = [
+            e for _, e in one_point_extensions(spec, c_struct) if spec.admits(e)
+        ]
         for a_subset in _subsets(c_struct.size):
             a_points = list(a_subset)
             a_struct = c_struct.induced_substructure(a_points)
@@ -784,7 +789,7 @@ def check_self_similarity(
                                 f"self-similarity search exceeded {budget} nodes"
                             )
                         if not _extension_exists(
-                            spec, c_struct, a_points, p_atoms, s_tuple, tau
+                            c_struct, extensions, a_points, p_atoms, s_tuple, tau
                         ):
                             return VerificationReport.refuted(
                                 "self-similarity",
@@ -836,7 +841,11 @@ def point_realizes(
     return True
 
 
-def _extension_exists(spec, c_struct, a_points, p_atoms, s_tuple, tau) -> bool:
+def _extension_exists(c_struct, extensions, a_points, p_atoms, s_tuple, tau) -> bool:
+    """Is p over A and tau over S realized by a point of C outside A and S,
+    or by the fresh point of one of ``extensions``, C's one-point
+    extensions inside the class?"""
+
     def realizes_both(structure, v):
         return point_realizes(structure, a_points, v, p_atoms) and point_realizes(
             structure, s_tuple, v, tau
@@ -847,10 +856,7 @@ def _extension_exists(spec, c_struct, a_points, p_atoms, s_tuple, tau) -> bool:
     if any(realizes_both(c_struct, v) for v in range(c_struct.size) if v not in taken):
         return True
     # Otherwise search one-point extensions of C inside the class.
-    return any(
-        spec.admits(extended) and realizes_both(extended, c_struct.size)
-        for _, extended in one_point_extensions(spec, c_struct)
-    )
+    return any(realizes_both(extended, c_struct.size) for extended in extensions)
 
 
 def _atoms_json(atoms) -> dict:

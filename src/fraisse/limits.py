@@ -319,6 +319,8 @@ def build_generic_model(
     (``certified_level == -1``) — unavoidable for order-like classes,
     where density makes true closure impossible.
     """
+    if level < 0:
+        raise ValueError(f"level {level} < 0")
     if not spec.is_binary():
         raise NonBinarySignature("generic-model closure needs a binary signature")
     if check_amalgamation:
@@ -448,9 +450,10 @@ def _add_witness(spec, structure, subset, atoms):
                     return candidate
             return None
         u = order[i]
+        decided_points = set(subset) | set(order[: i + 1])
         for option in pair_options[u]:
             candidate = chosen + [option]
-            if _partial_consistent(spec, structure, forced, candidate):
+            if _partial_consistent(spec, structure, forced, candidate, decided_points):
                 result = rec(i + 1, candidate)
                 if result is not None:
                     return result
@@ -509,20 +512,33 @@ def _diag_choice_list(spec, new):
     ]
 
 
-def _partial_consistent(spec, structure, forced, chosen):
+def _partial_consistent(spec, structure, forced, chosen, decided_points):
     """Cheap transitivity screen on the decided pairs (full membership is
-    checked at the end)."""
+    checked at the end).
+
+    ``decided_points`` are the old points whose pairs with the new point
+    are fixed.  Besides ``(u, new), (new, w) => (u, w)``, a decided w must
+    close the triangles through the new point: ``(new, u), (u, w) =>
+    (new, w)`` and ``(w, u), (u, new) => (w, new)``.  Decided pairs never
+    change, so a branch this rejects has no completion in the class.
+    """
     n = structure.size
     for name in spec.signature.names:
         if "transitive" not in spec.properties(name):
             continue
-        fwd = {u for u in range(n) if (n, u) in _decided(name, forced, chosen)}
-        back = {u for u in range(n) if (u, n) in _decided(name, forced, chosen)}
+        decided = _decided(name, forced, chosen)
+        fwd = {u for u in range(n) if (n, u) in decided}
+        back = {u for u in range(n) if (u, n) in decided}
         table = structure.relations[name]
         for u in back:
             for w in fwd:
                 if u != w and (u, w) not in table:
                     return False
+        for w in decided_points:
+            if w not in fwd and any((u, w) in table for u in fwd):
+                return False
+            if w not in back and any((w, u) in table for u in back):
+                return False
     return True
 
 

@@ -7,8 +7,16 @@ representation stays deliberately simple: tuples of ints in frozensets.
 
 Isomorphism is handled by brute-force canonicalisation: the canonical form
 of a structure is the relabelling (over all ``n!`` permutations) whose
-bit-encoding of the relation tables is minimal.  Universes stay small
-(single digits) throughout, so this is both adequate and easy to audit.
+bit-encoding of the relation tables is minimal.  Each permutation is scored
+on the encoding computed straight from the permuted tuples; only the
+winning relabelling is built.  Universes stay small (single digits)
+throughout, so this is both adequate and easy to audit.
+
+Structures from outside (the constructor, ``build``, ``from_json``/``loads``
+and ``glue``) are validated in ``__post_init__``.  Structures the module
+derives from an already valid one (relabels, induced substructures, padded
+universes, ``with_relations``) are built by ``FiniteStructure._trusted``
+after checking only their own arguments.
 
 Embeddings are strong: they must preserve *and* reflect every relation.
 """
@@ -50,19 +58,20 @@ class Signature:
         for name, arity in self.symbols:
             if arity < 1:
                 raise OutOfRange(f"relation {name!r} has arity {arity} < 1")
+        # name -> arity, for the membership checks' per-call lookups
+        object.__setattr__(self, "_arities", dict(self.symbols))
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.symbols)
 
     def arity(self, name: str) -> int:
-        for sym, arity in self.symbols:
-            if sym == name:
-                return arity
-        raise UnknownRelation(f"no relation named {name!r} in {self.names}")
+        if name not in self._arities:
+            raise UnknownRelation(f"no relation named {name!r} in {self.names}")
+        return self._arities[name]
 
     def __contains__(self, name: str) -> bool:
-        return any(sym == name for sym, _ in self.symbols)
+        return name in self._arities
 
     def union(self, other: "Signature") -> "Signature":
         """Concatenate two signatures with disjoint relation names."""
@@ -97,6 +106,28 @@ def _tuple_index(n: int, arity: int) -> dict[tuple[int, ...], int]:
     return {t: i for i, t in enumerate(itertools.product(range(n), repeat=arity))}
 
 
+def _encoding_scorer(n: int, arity: int, table: Iterable[tuple[int, ...]]):
+    """``score(perm)``: the code :meth:`FiniteStructure.encode` gives one
+    relation with table ``table`` after relabelling by ``perm``."""
+    top = n**arity - 1
+    if arity == 2:
+        bits = [[1 << (top - x * n - y) for y in range(n)] for x in range(n)]
+        pairs = list(table)
+        return lambda perm: sum([bits[perm[x]][perm[y]] for x, y in pairs])
+    tuples = list(table)
+
+    def score(perm):
+        code = 0
+        for tup in tuples:
+            index = 0
+            for x in tup:
+                index = index * n + perm[x]
+            code |= 1 << (top - index)
+        return code
+
+    return score
+
+
 @dataclass(frozen=True)
 class FiniteStructure:
     """A finite relational structure with universe ``{0, ..., size-1}``."""
@@ -120,6 +151,26 @@ class FiniteStructure:
                     raise OutOfRange(f"{name}{tup} has wrong arity (want {arity})")
                 if any(not (0 <= x < self.size) for x in tup):
                     raise OutOfRange(f"{name}{tup} leaves universe of size {self.size}")
+
+    @classmethod
+    def _trusted(
+        cls,
+        signature: Signature,
+        size: int,
+        tables: dict[str, frozenset[tuple[int, ...]]],
+    ) -> "FiniteStructure":
+        """A structure built without the checks of ``__post_init__``.
+
+        The caller guarantees what those checks would: ``size >= 0``, one
+        frozenset per relation of ``signature`` and no other, and every
+        tuple of the right arity over ``range(size)``.  Only derivations of
+        an already valid structure use it.
+        """
+        structure = object.__new__(cls)
+        object.__setattr__(structure, "signature", signature)
+        object.__setattr__(structure, "size", size)
+        object.__setattr__(structure, "relations", tables)
+        return structure
 
     # -- basic accessors ------------------------------------------------
 
@@ -175,10 +226,17 @@ class FiniteStructure:
     def with_relations(
         self, relations: dict[str, Iterable[tuple[int, ...]]]
     ) -> "FiniteStructure":
+        """The same universe with the given relations' tables replaced.
+
+        Not validated: callers pass, for relations of this signature,
+        tuples of the right arity over this structure's own universe.
+        """
         tables = dict(self.relations)
         for name, table in relations.items():
-            tables[name] = frozenset(map(tuple, table))
-        return FiniteStructure(self.signature, self.size, tables)
+            if name not in tables:
+                raise UnknownRelation(f"no relation named {name!r}")
+            tables[name] = frozenset(table)
+        return FiniteStructure._trusted(self.signature, self.size, tables)
 
     # -- substructures, reducts, gluing ---------------------------------
 
@@ -199,7 +257,7 @@ class FiniteStructure:
                 for tup in table
                 if all(x in keep for x in tup)
             )
-        return FiniteStructure(self.signature, len(points), tables)
+        return FiniteStructure._trusted(self.signature, len(points), tables)
 
     def reduct(self, names: Sequence[str]) -> "FiniteStructure":
         sig = self.signature.restrict(names)
@@ -223,11 +281,15 @@ class FiniteStructure:
             name: frozenset(tuple(perm[x] for x in tup) for tup in table)
             for name, table in self.relations.items()
         }
-        return FiniteStructure(self.signature, self.size, tables)
+        return FiniteStructure._trusted(self.signature, self.size, tables)
 
     def disjoint_union_universe(self, extra: int) -> "FiniteStructure":
         """The same structure on a universe padded by ``extra`` fresh points."""
-        return FiniteStructure(self.signature, self.size + extra, self.relations)
+        if extra < 0:
+            raise OutOfRange(f"cannot pad a universe by {extra} points")
+        return FiniteStructure._trusted(
+            self.signature, self.size + extra, self.relations
+        )
 
     # -- canonical forms and isomorphism ---------------------------------
 
@@ -249,15 +311,27 @@ class FiniteStructure:
         return tuple(out)
 
     def canonical_form(self) -> "FiniteStructure":
-        """Minimal relabelling under the bit-encoding, over all permutations."""
-        best = None
+        """Minimal relabelling under the bit-encoding, over all permutations.
+
+        Each permutation is scored by the encoding its relabelling would
+        have, computed straight from the permuted tuples: the tuple ``t``
+        sets the bit of the mixed-radix value of ``perm[x] for x in t``,
+        the first tuple most significant, as in :meth:`encode`.  The first
+        permutation with the least score wins, and only its relabelling
+        is built.
+        """
+        n = self.size
+        scorers = [
+            _encoding_scorer(n, arity, self.relations[name])
+            for name, arity in self.signature.symbols
+        ]
+        best_perm = None
         best_key = None
-        for perm in itertools.permutations(range(self.size)):
-            candidate = self.relabel(perm)
-            key = candidate.encode()
+        for perm in itertools.permutations(range(n)):
+            key = tuple(score(perm) for score in scorers)
             if best_key is None or key < best_key:
-                best, best_key = candidate, key
-        return self if best is None else best
+                best_perm, best_key = perm, key
+        return self.relabel(best_perm)
 
     def canonical_key(self) -> tuple:
         return self.canonical_form().form_key()
@@ -529,6 +603,8 @@ def enumerate_structures(
     deduplicated by canonical form.  Results come back sorted by canonical
     encoding, so the order is deterministic.
     """
+    if size < 0:
+        raise ValueError(f"size {size} < 0")
     if size > max_size_guard:
         raise BoundExceeded(
             f"enumeration up to iso at size {size} exceeds guard {max_size_guard}"

@@ -1,14 +1,17 @@
-"""Brute-force references for the forward-checking searches.
+"""Brute-force references for the fast searches.
 
-These are the searches ``config.search_witness`` and
-``structures.find_embeddings`` used before forward checking: each
-constraint is checked only once every coordinate it reads is assigned,
-and every target point is tried at every level.  They are kept as test
-oracles: the fast searches must return the same witness and the same
-embeddings in the same order, after visiting no more nodes.
-
-Each reference also returns its node count, so the tests can compare
+``reference_witness`` and ``reference_embeddings`` are the searches
+``config.search_witness`` and ``structures.find_embeddings`` used before
+forward checking: each constraint is checked only once every coordinate
+it reads is assigned, and every target point is tried at every level.
+They are kept as test oracles: the fast searches must return the same
+witness and the same embeddings in the same order, after visiting no
+more nodes.  Each also returns its node count, so the tests can compare
 it with a budget given to the fast search.
+
+``reference_canonical_form`` is ``FiniteStructure.canonical_form`` as it
+was before permutations were scored without building them: relabel by
+every permutation, encode, keep the first least encoding.
 """
 
 from __future__ import annotations
@@ -112,3 +115,16 @@ def reference_embeddings(source, target, limit=None, budget=None):
 
     rec([], set())
     return found, nodes
+
+
+def reference_canonical_form(structure):
+    """The first relabelling, over all permutations in lexicographic
+    order, with the least ``encode()``."""
+    best = None
+    best_key = None
+    for perm in itertools.permutations(range(structure.size)):
+        candidate = structure.relabel(perm)
+        key = candidate.encode()
+        if best_key is None or key < best_key:
+            best, best_key = candidate, key
+    return best

@@ -404,3 +404,24 @@ def test_self_similarity_verdicts():
     # the witness type demands equivalence with an existing point
     p = report.witness["p"]
     assert any(tup == [0, 1] or tup == (0, 1) for tup in p["E"])
+
+
+# sha256 of check_self_similarity(spec, 3).dumps(), frozen from the check
+# that re-enumerated C's one-point extensions for every (A, p, S, tau)
+VERIFIED_UP_TO_3 = "79bb406b4c89f80ba92941f2f2b4908f0b56f4af30f9079d759dbca30967f237"
+SELF_SIMILARITY_SHA256 = {
+    "LO": VERIFIED_UP_TO_3,
+    "G": VERIFIED_UP_TO_3,
+    "T": VERIFIED_UP_TO_3,
+    "H3": VERIFIED_UP_TO_3,
+    "E": "f22dfe9f0d71170e37d3bdacb0d3b579e97f0d6f0cb50e72bab7f77d60324a35",
+    "LO^2": VERIFIED_UP_TO_3,
+    "G^2": VERIFIED_UP_TO_3,
+}
+
+
+@pytest.mark.parametrize("expr", sorted(SELF_SIMILARITY_SHA256))
+def test_self_similarity_reports_are_pinned(expr):
+    report = check_self_similarity(parse_class_expr(expr), 3)
+    digest = hashlib.sha256(report.dumps().encode()).hexdigest()
+    assert digest == SELF_SIMILARITY_SHA256[expr]

@@ -172,6 +172,22 @@ def test_bad_class_expression(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--class", "G", "--n", "-1"),
+        ("generic-model", "--class", "G", "--level", "-3"),
+        ("rank", "--class", "G", "--n", "1", "--level", "-1"),
+    ],
+    ids=["enumerate-size", "generic-model-level", "rank-default-target-level"],
+)
+def test_negative_size_or_level_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_config_file(capsys, tmp_path):
     model_path = tmp_path / "m.json"
     model_path.write_text("{}")

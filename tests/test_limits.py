@@ -135,6 +135,11 @@ GENERIC_MODEL_SHA256 = {
     ("E*G", 1, 64): "550ed15d5775df3ab3ae16ee8ba153852acfd635b18e48854aa5e1a77e1180f2",
     ("LO", 2, 16): "7c22f37580f48c85d08d0aa171f489481eae445c1ffb18fbf565bf39b06211af",
     ("LO*G", 2, 16): "4570d5a0d2a0a96734d66cdd5a836c9efa3fa8c264ef00a0394f002daf047209",
+    # frozen before the transitivity screen closed triangles through the
+    # new point
+    ("E^2", 1, 24): "19e87b1170c2e27dd5af180ac5555eec8c856b4ae83de60e164c0274d825c36c",
+    ("E^2", 2, 24): "4ebcdedcad28a9fc7329f22d73a9dea93535a0d68cc29ff7ce7c6c3fdfbbaf68",
+    ("E*LO", 1, 24): "e2aa06d6d5bc1b0707435454ec52022c03119cc9eca0a36b934ddd3e10af5371",
 }
 
 
@@ -185,6 +190,22 @@ def test_extension_check_on_empty_model(name, level):
     assert bool(report) == (level < 0)
     if level >= 0:
         assert report.witness == {"subset": [], "reason": "empty model"}
+
+
+def test_equivalence_square_closes_at_level_2():
+    # before the screen closed triangles through the new point, this ran
+    # for more than ten minutes: transitivity failed only at the leaves
+    model = build_generic_model(parse_class_expr("E^2"), 2, 64, check_amalgamation=False)
+    assert model.meta["closed"]
+    assert (model.size, model.certified_level) == (60, 2)
+    digest = hashlib.sha256(model.dumps().encode()).hexdigest()
+    assert digest == "7494190f46dccd5184eed24ad9f4052a1cc69a340c8ae04977b853930c4de665"
+
+
+@pytest.mark.parametrize("level", [-1, -3])
+def test_negative_level_is_rejected(level):
+    with pytest.raises(ValueError):
+        build_generic_model(builtin("G"), level=level, size_cap=16)
 
 
 def test_generic_order_hits_cap_and_stays_uncertified():
