@@ -27,6 +27,7 @@ means verified up to the stated bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -494,18 +495,25 @@ def _amalgam_candidate(spec, b0, f0, b1, f1, pairing):
                 return None
         tables[name] = set(rel0) | {tuple(to_c[x] for x in tup) for tup in rel1}
     candidate = b0.disjoint_union_universe(size - b0.size).with_relations(tables)
-    part0 = set(range(b0.size))
-    part1 = set(to_c.values())
+    private0 = frozenset(range(b0.size)).difference(to_c.values())
     for name, arity in spec.signature.symbols:
-        free = [
-            tup
-            for tup in itertools.product(range(size), repeat=arity)
-            if not (part0.issuperset(tup) or part1.issuperset(tup))
-        ]
+        free = _mixed_tuples(size, arity, private0, b0.size)
         candidate = _fill_relation(spec, candidate, name, free)
         if candidate is None:
             return None
     return candidate if spec.admits(candidate) else None
+
+
+@functools.lru_cache(maxsize=4096)
+def _mixed_tuples(size: int, arity: int, private0: frozenset, first1: int) -> tuple:
+    """The ``arity``-tuples over ``range(size)`` that meet both private
+    parts of an amalgam, ``private0`` and ``range(first1, size)``, in
+    lexicographic order: the tuples neither part decides."""
+    return tuple(
+        tup
+        for tup in itertools.product(range(size), repeat=arity)
+        if max(tup) >= first1 and not private0.isdisjoint(tup)
+    )
 
 
 def _fill_relation(spec, structure, name, free_tuples):
@@ -545,7 +553,7 @@ def _constructive_fill(spec, structure, name, free_tuples, props):
             # Equivalence-style: relate across parts only through a common
             # related point already present (class-merging along the base).
             closure = _transitive_symmetric_closure(table, structure.size, props)
-            added = {t for t in closure if t in set(free_tuples)}
+            added = closure.intersection(free_tuples)
             extra = closure - table - added
             if extra:
                 return None

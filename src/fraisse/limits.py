@@ -9,9 +9,11 @@ the model.  Three builders are provided:
   equality of coordinate ``i`` — a member of the m-fold superposition of
   equivalence relations, certified at level ``n - 1`` by construction.
 * ``build_generic_model``: one-point-extension closure, the workhorse for
-  graph-like classes.  For order-like classes closure cannot terminate
-  (density forces unbounded growth), so it stops at the size cap and
-  returns the partial model flagged uncertified.
+  graph-like classes, whose closure and certificate run the bitset demand
+  scan of ``kernels`` on neighbour sets, at any level.  For order-like
+  classes closure cannot terminate (density forces unbounded growth), so
+  it stops at the size cap and returns the partial model flagged
+  uncertified.
 * ``build_order_box_model(k, side)``: ``side**k`` points carrying ``k``
   coordinate orders with lexicographic tie-breaking.  No finite set with
   a linear order can realize below-the-minimum types, so these models are
@@ -28,8 +30,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import kernels
 from .classes import (
@@ -233,20 +233,12 @@ def _unrealized_types(spec: ClassSpec, structure: FiniteStructure, subset: list[
 
 def _graph_like(spec: ClassSpec) -> bool:
     """Single binary symmetric irreflexive relation without transitivity:
-    the case the array kernels handle."""
+    the case the bitset kernels handle."""
     if spec.predicates or len(spec.signature.symbols) != 1:
         return False
     (name, arity), = spec.signature.symbols
     props = spec.properties(name)
     return arity == 2 and props == frozenset({"symmetric", "irreflexive"})
-
-
-def _adjacency(structure: FiniteStructure) -> np.ndarray:
-    (name, _), = structure.signature.symbols
-    adj = np.zeros((structure.size, structure.size), dtype=np.uint8)
-    for a, b in structure.relations[name]:
-        adj[a, b] = 1
-    return adj
 
 
 def check_extension_property(model: GenericModel, level: int) -> VerificationReport:
@@ -259,9 +251,10 @@ def check_extension_property(model: GenericModel, level: int) -> VerificationRep
             "extension-property", {"subset": [], "reason": "empty model"}, bound=level
         )
     if _graph_like(spec):
-        adj = _adjacency(structure)
+        (name, _), = spec.signature.symbols
+        rows = structure.bit_rows[name][0]
         for vmax in range(structure.size):
-            missing = kernels.missing_graph_demands(adj, vmax, level)
+            missing = kernels.missing_graph_demands(rows, vmax, level)
             if missing:
                 points, mask = missing[0]
                 return VerificationReport.refuted(
@@ -349,39 +342,28 @@ def build_generic_model(
 
 
 def _close_graph(spec: ClassSpec, level: int, size_cap: int):
-    adj = np.zeros((0, 0), dtype=np.uint8)
+    rows: list[int] = []  # neighbour sets, grown one point at a time
 
     def add_point(forced: dict[int, int]) -> None:
-        nonlocal adj
-        n = adj.shape[0]
-        row = np.zeros(n + 1, dtype=np.uint8)
+        n = len(rows)
+        rows.append(sum(1 << u for u in range(n) if forced.get(u, _hash_bits(u, n) & 1)))
         for u in range(n):
-            row[u] = forced[u] if u in forced else _hash_bits(u, n) & 1
-        grown = np.zeros((n + 1, n + 1), dtype=np.uint8)
-        grown[:n, :n] = adj
-        grown[n, :] = row
-        grown[:, n] = row
-        adj = grown
+            rows[u] |= (rows[n] >> u & 1) << n
 
     if level >= 0 and size_cap >= 1:
         add_point({})
-    vmax = 0
-    while vmax < adj.shape[0]:
-        for points, mask in kernels.missing_graph_demands(adj, vmax, level):
-            if adj.shape[0] >= size_cap:
-                return _graph_structure(spec, adj), False
-            if not kernels.graph_demand_met(adj, points, mask):
-                add_point(
-                    {d: (mask >> bit) & 1 for bit, d in enumerate(points)}
-                )
+    vmax, closed = 0, True
+    while closed and vmax < len(rows):
+        for points, mask in kernels.missing_graph_demands(rows, vmax, level):
+            if len(rows) >= size_cap:
+                closed = False
+                break
+            if not kernels.graph_demand_met(rows, points, mask):
+                add_point({d: (mask >> bit) & 1 for bit, d in enumerate(points)})
         vmax += 1
-    return _graph_structure(spec, adj), True
-
-
-def _graph_structure(spec: ClassSpec, adj: np.ndarray) -> FiniteStructure:
     (name, _), = spec.signature.symbols
-    edges = {(int(a), int(b)) for a, b in zip(*np.nonzero(adj))}
-    return FiniteStructure.build(spec.signature, adj.shape[0], {name: edges})
+    edges = {(a, b) for a, row in enumerate(rows) for b in range(len(rows)) if row >> b & 1}
+    return FiniteStructure.build(spec.signature, len(rows), {name: edges}), closed
 
 
 def _close_generic(spec: ClassSpec, level: int, size_cap: int):

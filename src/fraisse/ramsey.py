@@ -27,8 +27,6 @@ from functools import lru_cache
 
 from .kernels import find_mono_box_2d
 
-import numpy as np
-
 
 # -- directions -----------------------------------------------------------------
 
@@ -176,9 +174,12 @@ def find_monochromatic_box(coloring: BoxColoring, m: int):
         raise ValueError(f"m {m} exceeds side {coloring.n}")
     k, n = coloring.k, coloring.n
     if k == 2:
-        grid = np.array(coloring.point_map, dtype=np.int64).reshape(n, n)
         for color in range(coloring.colors):
-            hit = find_mono_box_2d(grid, m, color)
+            rows = [
+                sum(1 << j for j in range(n) if coloring.point_map[i * n + j] == color)
+                for i in range(n)
+            ]
+            hit = find_mono_box_2d(rows, m)
             if hit is not None:
                 return [list(hit[0]), list(hit[1])]
         return None

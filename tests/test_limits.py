@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from fraisse import kernels
@@ -62,15 +61,15 @@ def test_level_3_graph_contains_every_4_point_graph(graph_model):
         assert find_embeddings(pattern, graph_model.structure, limit=1)
 
 
-def reference_missing_demands(adj, vmax, level):
+def reference_missing_demands(rows, vmax, level):
     """Plain loops over subsets, points and masks, in the kernel's order."""
-    n = len(adj)
+    n = len(rows)
     out = []
-    for size in range(1, min(level, 3) + 1):
+    for size in range(1, level + 1):
         for head in itertools.combinations(range(vmax), size - 1):
             points = head + (vmax,)
             realized = {
-                sum(int(adj[d][v]) << bit for bit, d in enumerate(points))
+                sum((rows[d] >> v & 1) << bit for bit, d in enumerate(points))
                 for v in range(n)
                 if v not in points
             }
@@ -81,26 +80,51 @@ def reference_missing_demands(adj, vmax, level):
 
 
 def random_graph(n, density, rng):
-    adj = np.zeros((n, n), dtype=np.uint8)
+    """Neighbour sets of a random graph, as int bitsets."""
+    rows = [0] * n
     for a, b in itertools.combinations(range(n), 2):
         if rng.random() < density:
-            adj[a, b] = adj[b, a] = 1
-    return adj
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return rows
 
 
-@pytest.mark.parametrize("block_rows", [7, 4096])
-def test_block_demand_scan_matches_plain_loops(monkeypatch, block_rows):
-    # a small block size makes the level-3 scans cross block boundaries
-    monkeypatch.setattr(kernels, "_BLOCK_ROWS", block_rows)
+def test_demand_scan_matches_plain_loops():
     rng = random.Random(20200706)
     sizes = [1, 2, 3, 4] + sorted(rng.sample(range(5, 41), 8)) + [40]
     for n in sizes:
-        adj = random_graph(n, rng.choice([0.1, 0.5, 0.9]), rng)
+        rows = random_graph(n, rng.choice([0.1, 0.5, 0.9]), rng)
+        # level 4 only on the smaller graphs, where the loops stay quick
+        levels = (1, 2, 3, 4) if n <= 24 else (1, 2, 3)
         for vmax in range(n):
-            for level in (1, 2, 3):
-                assert kernels.missing_graph_demands(adj, vmax, level) == (
-                    reference_missing_demands(adj, vmax, level)
+            for level in levels:
+                assert kernels.missing_graph_demands(rows, vmax, level) == (
+                    reference_missing_demands(rows, vmax, level)
                 ), (n, vmax, level)
+
+
+def test_level_3_graph_is_refuted_at_level_4(graph_model):
+    report = check_extension_property(graph_model, 4)
+    assert report.to_json() == {
+        "bound": 4,
+        "check": "extension-property",
+        "status": "refuted",
+        "witness": {"subset": [0, 1, 4, 6], "type_mask": 3},
+    }
+    # the witness is a real gap: no point outside the subset has that type
+    rows = graph_model.structure.bit_rows["E"][0]
+    subset = report.witness["subset"]
+    assert all(
+        sum((rows[d] >> v & 1) << bit for bit, d in enumerate(subset)) != 3
+        for v in range(graph_model.size)
+        if v not in subset
+    )
+
+
+def test_capped_level_4_graph_is_uncertified():
+    model = build_generic_model(builtin("G"), 4, 100, check_amalgamation=False)
+    assert (model.size, model.certified_level, model.meta["closed"]) == (100, -1, False)
+    assert not check_extension_property(model, 4)
 
 
 # sha256 of build_generic_model(G, level, 200).dumps(), frozen from the

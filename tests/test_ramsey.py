@@ -119,6 +119,30 @@ def test_fast_and_generic_paths_agree_on_3d():
         assert len(colors) == 1
 
 
+def _first_box_by_brute_force(coloring, m):
+    """Color-major, then row sets, then column sets, all lexicographic."""
+    n = coloring.n
+    for color in range(coloring.colors):
+        for rows in itertools.combinations(range(n), m):
+            for cols in itertools.combinations(range(n), m):
+                if all(coloring.point_color(p) == color for p in itertools.product(rows, cols)):
+                    return [list(rows), list(cols)]
+    return None
+
+
+def test_planar_finder_matches_brute_force():
+    rng = random.Random(20200707)
+    outcomes = set()
+    for seed in range(120):
+        n = rng.randint(1, 7)
+        coloring = random_point_coloring(2, n, rng.randint(1, 3), seed=seed)
+        m = rng.randint(1, n)
+        sets = find_monochromatic_box(coloring, m)
+        assert sets == _first_box_by_brute_force(coloring, m), (seed, n, m)
+        outcomes.add(sets is None)
+    assert outcomes == {True, False}
+
+
 # -- directed boxes -------------------------------------------------------------------------
 
 
