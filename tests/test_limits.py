@@ -89,8 +89,11 @@ def random_graph(n, density, rng):
     return rows
 
 
-def test_demand_scan_matches_plain_loops():
-    rng = random.Random(20200706)
+# each prefix pass of the scan decides a block of subsets prefix + (d, vmax)
+# at once; three seeds of random graphs check it against the plain loops
+@pytest.mark.parametrize("seed", [7, 4096, 20200706])
+def test_block_demand_scan_matches_plain_loops(seed):
+    rng = random.Random(seed)
     sizes = [1, 2, 3, 4] + sorted(rng.sample(range(5, 41), 8)) + [40]
     for n in sizes:
         rows = random_graph(n, rng.choice([0.1, 0.5, 0.9]), rng)
