@@ -44,6 +44,7 @@ from .structures import (
     EMPTY_SIGNATURE,
     FiniteStructure,
     Signature,
+    _encoding_scorer,
     all_extension_tuples,
     enumerate_structures_upto,
     find_embeddings,
@@ -388,6 +389,15 @@ def verify_class_axioms(
     size); a failure within this cap is reported as refuted with
     ``within_cap`` set, which for plain amalgamation is weaker than a true
     refutation.
+
+    Every instance is counted, but the search runs once per isomorphism
+    type of the diagram: the unordered pair of its arms' types over the
+    base (:func:`_arm_key`).  Membership in a class without custom
+    predicates is a conjunction of isomorphism-invariant properties, one
+    relation at a time, and the search is exhaustive per relation, so the
+    verdict depends on the diagram's type alone.  For a class with
+    predicates every arm is its own type.  Instances run in the same order
+    either way, so a refutation names the same first failing instance.
     """
     if bound < 1:
         raise ValueError(f"bound {bound} < 1")
@@ -425,9 +435,21 @@ def _verify_amalgamation(spec, bound, axiom, budget) -> VerificationReport:
                 continue
             for emb in find_embeddings(base, b, budget=budget):
                 arms.append((b, emb.mapping))
-        for i, (b0, f0) in enumerate(arms):
-            for b1, f1 in arms[i:]:
+        # A custom predicate may reject the one completion per relation that
+        # the amalgam search commits to, so there each arm is its own type.
+        if spec.predicates:
+            keys = range(len(arms))
+        else:
+            keys = [_arm_key(b, f) for b, f in arms]
+        # unordered pairs of arm types already amalgamated; the first
+        # failure ends the check, so no failing pair is ever looked up again
+        amalgamated = set()
+        for i, ((b0, f0), key0) in enumerate(zip(arms, keys)):
+            for (b1, f1), key1 in zip(arms[i:], keys[i:]):
                 checked += 1
+                pair = frozenset((key0, key1))
+                if pair in amalgamated:
+                    continue
                 if _find_amalgam(spec, b0, f0, b1, f1, strong) is None:
                     return VerificationReport.refuted(
                         axiom,
@@ -442,7 +464,35 @@ def _verify_amalgamation(spec, bound, axiom, budget) -> VerificationReport:
                         within_cap=True,
                         cap=b0.size + b1.size - base.size,
                     )
+                amalgamated.add(pair)
     return VerificationReport.verified_up_to(axiom, bound, instances=checked)
+
+
+def _arm_key(b, f):
+    """The isomorphism type of the arm ``(B, f)`` over its base.
+
+    B is relabelled so that f's image comes first, in f's order, and its
+    private points follow; the key is B's size and the least
+    :meth:`~FiniteStructure.encode` over the orders of the private points.
+    Two arms over one base get equal keys exactly when an isomorphism of
+    their B's carries one f to the other.
+    """
+    n, k = b.size, len(f)
+    scorers = [
+        _encoding_scorer(n, arity, b.relations[name])
+        for name, arity in b.signature.symbols
+    ]
+    private = [v for v in range(n) if v not in f]
+    perm = [0] * n
+    for i, v in enumerate(f):
+        perm[v] = i
+
+    def code(labels):
+        for v, label in zip(private, labels):
+            perm[v] = label
+        return tuple(score(perm) for score in scorers)
+
+    return n, min(map(code, itertools.permutations(range(k, n))))
 
 
 def _find_amalgam(spec, b0, f0, b1, f1, strong):
@@ -474,9 +524,9 @@ def _amalgam_candidate(spec, b0, f0, b1, f1, pairing):
     Point layout: B0 keeps its indices; the unglued points of B1 follow in
     increasing order.  Atoms must agree on the glued points; tuples inside
     either part are inherited, and only the tuples mixing the two private
-    parts are searched, relation by relation (relations do not interact for
-    property-defined classes, but a final ``admits`` guards the general
-    case).
+    parts are searched, relation by relation.  Each relation is checked
+    against its properties as it is filled, and the constraints cover the
+    signature, so only the custom predicates are left to test at the end.
     """
     to_c = dict(zip(f1, f0))
     to_c.update(pairing)
@@ -501,7 +551,7 @@ def _amalgam_candidate(spec, b0, f0, b1, f1, pairing):
         candidate = _fill_relation(spec, candidate, name, free)
         if candidate is None:
             return None
-    return candidate if spec.admits(candidate) else None
+    return candidate if all(p.holds(candidate) for p in spec.predicates) else None
 
 
 @functools.lru_cache(maxsize=4096)

@@ -314,16 +314,23 @@ def build_generic_model(
     """
     if level < 0:
         raise ValueError(f"level {level} < 0")
+    if size_cap < 0:
+        raise ValueError(f"size cap {size_cap} < 0")
     if not spec.is_binary():
         raise NonBinarySignature("generic-model closure needs a binary signature")
     if check_amalgamation:
-        bound = amalgamation_bound if amalgamation_bound is not None else level + 1
-        axiom_report = verify_class_axioms(spec, max(bound, 1), "strong_amalgamation")
+        bound = level + 1 if amalgamation_bound is None else amalgamation_bound
+        bound = max(bound, 1)
+        axiom_report = verify_class_axioms(spec, bound, "strong_amalgamation")
         if not axiom_report:
             raise NotAmalgamation(
                 f"{spec.name} fails strong amalgamation at bound {bound}"
             )
-    if _graph_like(spec):
+    if size_cap == 0:
+        # the type over the empty set is a demand at every level, and no
+        # point may be added to realize it
+        structure, closed = spec.empty_structure(), False
+    elif _graph_like(spec):
         structure, closed = _close_graph(spec, level, size_cap)
     else:
         structure, closed = _close_generic(spec, level, size_cap)
@@ -350,8 +357,7 @@ def _close_graph(spec: ClassSpec, level: int, size_cap: int):
         for u in range(n):
             rows[u] |= (rows[n] >> u & 1) << n
 
-    if level >= 0 and size_cap >= 1:
-        add_point({})
+    add_point({})
     vmax, closed = 0, True
     while closed and vmax < len(rows):
         for points, mask in kernels.missing_graph_demands(rows, vmax, level):
@@ -367,12 +373,9 @@ def _close_graph(spec: ClassSpec, level: int, size_cap: int):
 
 
 def _close_generic(spec: ClassSpec, level: int, size_cap: int):
-    structure = spec.empty_structure()
-    if size_cap >= 1:
-        grown = _add_witness(spec, structure, [], None)
-        if grown is None:
-            raise NotAmalgamation(f"{spec.name} admits no one-point structure")
-        structure = grown
+    structure = _add_witness(spec, spec.empty_structure(), [], None)
+    if structure is None:
+        raise NotAmalgamation(f"{spec.name} admits no one-point structure")
     vmax = 0
     while vmax < structure.size:
         for size in range(1, level + 1):

@@ -12,15 +12,21 @@ it with a budget given to the fast search.
 ``reference_canonical_form`` is ``FiniteStructure.canonical_form`` as it
 was before permutations were scored without building them: relabel by
 every permutation, encode, keep the first least encoding.
+
+``reference_verify_amalgamation`` is the amalgamation check before it
+decided one diagram per isomorphism type: it runs the amalgam search on
+every instance, and every amalgam candidate ends with a full ``admits``.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from fraisse.classes import _fill_relation, _mixed_tuples
 from fraisse.config import Coord, formula_refs
 from fraisse.errors import BudgetExceeded, SignatureMismatch
-from fraisse.structures import Embedding
+from fraisse.report import VerificationReport
+from fraisse.structures import Embedding, find_embeddings
 
 
 def reference_witness(interp, target_structure, structure, budget=None):
@@ -128,3 +134,72 @@ def reference_canonical_form(structure):
         if best_key is None or key < best_key:
             best, best_key = candidate, key
     return best
+
+
+def reference_verify_amalgamation(spec, bound, axiom):
+    """``verify_class_axioms(spec, bound, axiom)`` for the three
+    amalgamation axioms, searching every instance."""
+    strong = axiom != "amalgamation"
+    members = spec.members_upto(bound)
+    bases = [spec.empty_structure()] if axiom == "joint_embedding" else members
+    checked = 0
+    for base in bases:
+        arms = [
+            (b, emb.mapping)
+            for b in members
+            if b.size >= base.size
+            for emb in find_embeddings(base, b)
+        ]
+        for i, (b0, f0) in enumerate(arms):
+            for b1, f1 in arms[i:]:
+                checked += 1
+                if not _reference_amalgam_exists(spec, b0, f0, b1, f1, strong):
+                    return VerificationReport.refuted(
+                        axiom,
+                        {"A": base, "B0": b0, "B1": b1, "f0": list(f0), "f1": list(f1)},
+                        bound=bound,
+                        within_cap=True,
+                        cap=b0.size + b1.size - base.size,
+                    )
+    return VerificationReport.verified_up_to(axiom, bound, instances=checked)
+
+
+def _reference_amalgam_exists(spec, b0, f0, b1, f1, strong):
+    pairings = [{}]
+    if not strong:
+        x0 = [v for v in range(b0.size) if v not in f0]
+        x1 = [v for v in range(b1.size) if v not in f1]
+        for k in range(1, min(len(x0), len(x1)) + 1):
+            for sub0 in itertools.combinations(x0, k):
+                for sub1 in itertools.permutations(x1, k):
+                    pairings.append(dict(zip(sub1, sub0)))
+    return any(
+        _reference_candidate(spec, b0, f0, b1, f1, pairing) is not None
+        for pairing in pairings
+    )
+
+
+def _reference_candidate(spec, b0, f0, b1, f1, pairing):
+    to_c = dict(zip(f1, f0))
+    to_c.update(pairing)
+    size = b0.size
+    for v in range(b1.size):
+        if v not in to_c:
+            to_c[v] = size
+            size += 1
+    glued = [*f1, *pairing]
+    tables = {}
+    for name, arity in spec.signature.symbols:
+        rel0, rel1 = b0.relations[name], b1.relations[name]
+        for tup in itertools.product(glued, repeat=arity):
+            if (tup in rel1) != (tuple(to_c[x] for x in tup) in rel0):
+                return None
+        tables[name] = set(rel0) | {tuple(to_c[x] for x in tup) for tup in rel1}
+    candidate = b0.disjoint_union_universe(size - b0.size).with_relations(tables)
+    private0 = frozenset(range(b0.size)).difference(to_c.values())
+    for name, arity in spec.signature.symbols:
+        free = _mixed_tuples(size, arity, private0, b0.size)
+        candidate = _fill_relation(spec, candidate, name, free)
+        if candidate is None:
+            return None
+    return candidate if spec.admits(candidate) else None

@@ -22,9 +22,11 @@ from fraisse.classes import (
     superpose,
     verify_class_axioms,
 )
-from fraisse.classes import _amalgam_candidate, _find_amalgam
+from fraisse import classes
+from fraisse.classes import _amalgam_candidate, _arm_key, _find_amalgam
 from fraisse.errors import TransitivityOnNonBinary, UnknownRelation
-from fraisse.structures import FiniteStructure, Signature
+from fraisse.structures import FiniteStructure, Signature, find_embeddings
+from reference_search import reference_verify_amalgamation
 
 
 def tournament_3cycle():
@@ -353,6 +355,113 @@ def test_axiom_reports_are_pinned():
         for name, spec, bound in _axiom_pin_classes()
     }
     assert digests == AXIOM_REPORT_PINS
+
+
+# -- one verdict per isomorphism type of the diagram -------------------------------
+
+
+def symmetric_trichotomous():
+    """No two distinct points fit: joint embedding fails at bound 3."""
+    return ClassSpec(
+        "R", Signature((("R", 2),)), (("R", frozenset(("symmetric", "trichotomous"))),)
+    )
+
+
+def few_out_degree_4():
+    """Tournaments with at most three points of out-degree 4.
+
+    The search commits to one completion, and for a predicate class that
+    makes the verdict depend on more than the diagram's isomorphism type.
+    Over one point, the 4-point tournament with a source has arms of
+    types X, Y, X in turn (based in its 3-cycle, at its source, in its
+    3-cycle).  Both amalgams are completed from the first arm's private
+    points to the second's, and only (Y, X) gives four points of
+    out-degree 4, so the (X, Y) instance amalgamates and the later (Y, X)
+    one does not.
+    """
+
+    def few(s):
+        degrees = [0] * s.size
+        for a, _ in s.relations["<"]:
+            degrees[a] += 1
+        return degrees.count(4) <= 3
+
+    t = builtin("T")
+    pred = MembershipPredicate(few, ("<",), ("<",), "few-out-degree-4")
+    return ClassSpec("T-few-4", t.signature, t.constraints, (pred,))
+
+
+def _differential_classes():
+    for name in BUILTIN_NAMES:
+        yield name, builtin(name), 3
+    for a, b in itertools.combinations_with_replacement(BUILTIN_NAMES, 2):
+        yield f"{a}*{b}", superpose(builtin(a), builtin(b)), 3
+    for name in ("G", "E", "T"):
+        yield f"{name}-bound-4", builtin(name), 4
+    yield "R", symmetric_trichotomous(), 3
+    yield "matching", matching_class(), 3
+    yield "P<=1", at_most_one_P(), 3
+    yield "T-few-4", few_out_degree_4(), 4
+
+
+DIFFERENTIAL = {name: (spec, bound) for name, spec, bound in _differential_classes()}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_amalgamation_matches_the_per_instance_reference(name):
+    spec, bound = DIFFERENTIAL[name]
+    for axiom in ("joint_embedding", "amalgamation", "strong_amalgamation"):
+        expected = reference_verify_amalgamation(spec, bound, axiom).dumps()
+        assert verify_class_axioms(spec, bound, axiom).dumps() == expected, axiom
+
+
+def test_symmetric_trichotomous_joint_embedding_witness():
+    report = verify_class_axioms(symmetric_trichotomous(), 3, "joint_embedding")
+    assert report.status == "refuted"
+    w = report.witness
+    assert (w["A"].size, w["B0"].size, w["B1"].size) == (0, 1, 1)
+
+
+def _isomorphic_over_base(b0, f0, b1, f1):
+    """Brute force: some bijection B0 -> B1 carries f0 to f1 and every
+    relation onto B1's."""
+    if b0.size != b1.size:
+        return False
+    for perm in itertools.permutations(range(b0.size)):
+        if all(perm[x] == y for x, y in zip(f0, f1)) and b0.relabel(perm) == b1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("expr", ["G", "T", "LO*G", "E^2"])
+def test_arm_keys_are_isomorphism_types_over_the_base(expr):
+    spec = parse_class_expr(expr)
+    members = spec.members_upto(3)
+    for base in [spec.empty_structure(), *members]:
+        arms = [
+            (b, emb.mapping)
+            for b in members
+            if b.size >= base.size
+            for emb in find_embeddings(base, b)
+        ]
+        keys = [_arm_key(b, f) for b, f in arms]
+        for (arm0, key0), (arm1, key1) in itertools.combinations(zip(arms, keys), 2):
+            assert (key0 == key1) == _isomorphic_over_base(*arm0, *arm1)
+
+
+def test_amalgam_search_runs_once_per_diagram_type(monkeypatch):
+    calls = 0
+    find = classes._find_amalgam
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return find(*args)
+
+    monkeypatch.setattr(classes, "_find_amalgam", counting)
+    report = verify_class_axioms(builtin("G"), 4, "strong_amalgamation")
+    assert report.details["instances"] == 13014
+    assert calls <= 1276
 
 
 def test_property_preservation_under_superposition():

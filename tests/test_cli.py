@@ -111,6 +111,15 @@ def test_generic_model_cap_hit(capsys):
     assert data["closed"] is False
 
 
+def test_generic_model_without_room_is_inconclusive(capsys):
+    code, data = run_json(
+        capsys, "generic-model", "--class", "G", "--level", "2", "--size-cap", "0"
+    )
+    assert code == 2
+    assert data["closed"] is False
+    assert data["model"]["certified_level"] == -1
+
+
 def test_ramsey_box_directed_overflow_is_cap_hit(capsys):
     code, out, err = run(
         capsys, "ramsey-box", "--k", "2", "--colors", "2", "--m", "2",
@@ -178,8 +187,14 @@ def test_bad_class_expression(capsys):
         ("enumerate", "--class", "G", "--n", "-1"),
         ("generic-model", "--class", "G", "--level", "-3"),
         ("rank", "--class", "G", "--n", "1", "--level", "-1"),
+        ("generic-model", "--class", "G", "--level", "2", "--size-cap", "-1"),
     ],
-    ids=["enumerate-size", "generic-model-level", "rank-default-target-level"],
+    ids=[
+        "enumerate-size",
+        "generic-model-level",
+        "rank-default-target-level",
+        "generic-model-size-cap",
+    ],
 )
 def test_negative_size_or_level_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

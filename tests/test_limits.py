@@ -280,8 +280,23 @@ def test_amalgamation_precheck_rejects_bad_class():
         (("E", frozenset(("symmetric", "irreflexive"))),),
         (pred,),
     )
-    with pytest.raises(NotAmalgamation):
+    with pytest.raises(NotAmalgamation, match="at bound 2$"):
         build_generic_model(spec, level=1, size_cap=16)
+
+
+@pytest.mark.parametrize("name", ["G", "LO", "E"])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_size_cap_zero_is_never_certified(name, level):
+    # the type over the empty set is demanded at every level
+    model = build_generic_model(builtin(name), level=level, size_cap=0)
+    assert (model.size, model.meta["closed"], model.certified_level) == (0, False, -1)
+    assert check_extension_property(model, level).status == "refuted"
+
+
+@pytest.mark.parametrize("name", ["G", "LO", "E"])
+def test_negative_size_cap_is_rejected(name):
+    with pytest.raises(ValueError, match="size cap -1 < 0"):
+        build_generic_model(builtin(name), level=2, size_cap=-1)
 
 
 def test_model_json_round_trip(graph_model):
