@@ -394,8 +394,9 @@ def verify_class_axioms(
     type of the diagram: the unordered pair of its arms' types over the
     base (:func:`_arm_key`).  Membership in a class without custom
     predicates is a conjunction of isomorphism-invariant properties, one
-    relation at a time, and the search is exhaustive per relation, so the
-    verdict depends on the diagram's type alone.  For a class with
+    relation at a time, and whether each relation of a candidate has a
+    completion is decided exactly (:func:`_fill_relation`), so the verdict
+    depends on the diagram's type alone.  For a class with
     predicates every arm is its own type.  Instances run in the same order
     either way, so a refutation names the same first failing instance.
     """
@@ -524,9 +525,10 @@ def _amalgam_candidate(spec, b0, f0, b1, f1, pairing):
     Point layout: B0 keeps its indices; the unglued points of B1 follow in
     increasing order.  Atoms must agree on the glued points; tuples inside
     either part are inherited, and only the tuples mixing the two private
-    parts are searched, relation by relation.  Each relation is checked
-    against its properties as it is filled, and the constraints cover the
-    signature, so only the custom predicates are left to test at the end.
+    parts are open.  :func:`_fill_relation` completes them relation by
+    relation, or finds that no completion keeps the relation's properties.
+    The constraints cover the signature, so only the custom predicates are
+    left to test at the end.
     """
     to_c = dict(zip(f1, f0))
     to_c.update(pairing)
@@ -555,11 +557,11 @@ def _amalgam_candidate(spec, b0, f0, b1, f1, pairing):
 
 
 @functools.lru_cache(maxsize=4096)
-def _mixed_tuples(size: int, arity: int, private0: frozenset, first1: int) -> tuple:
+def _mixed_tuples(size: int, arity: int, private0: frozenset, first1: int) -> frozenset:
     """The ``arity``-tuples over ``range(size)`` that meet both private
-    parts of an amalgam, ``private0`` and ``range(first1, size)``, in
-    lexicographic order: the tuples neither part decides."""
-    return tuple(
+    parts of an amalgam, ``private0`` and ``range(first1, size)``: the
+    tuples neither part decides."""
+    return frozenset(
         tup
         for tup in itertools.product(range(size), repeat=arity)
         if max(tup) >= first1 and not private0.isdisjoint(tup)
@@ -567,25 +569,49 @@ def _mixed_tuples(size: int, arity: int, private0: frozenset, first1: int) -> tu
 
 
 def _fill_relation(spec, structure, name, free_tuples):
-    """Choose the undecided tuples of one relation so its properties hold.
+    """Complete one relation on its undecided tuples so that its properties
+    hold, or None if no completion exists.
 
-    Tries a constructive completion first (tailored to the declared
-    property combination), then falls back to exhaustive search over
-    orbit-respecting assignments.
+    The completion is built, not searched for.  Every free tuple meets
+    both private parts, so none is constant and each permutation orbit is
+    free or decided as a whole.  Without transitivity a free orbit is
+    constrained by itself alone: leaving it out keeps symmetry and
+    (ir)reflexivity, and a trichotomous relation takes the orbit's
+    increasing tuple, so this completion works whenever any does.  A
+    transitive relation contains the closure of its decided tuples, so a
+    completion exists only if the closure adds free tuples alone, and the
+    closure is then the least completion.  An order extends it linearly
+    (Szpilrajn): points are ranked by their number of strict predecessors
+    in the closure, which increases along it.
     """
-    if not free_tuples:
-        return structure if _relation_ok(spec, structure, name) else None
+    table = structure.relations[name]
     props = spec.properties(name)
-    guess = _constructive_fill(spec, structure, name, free_tuples, props)
-    if guess is not None and _relation_ok(spec, guess, name):
-        return guess
-    for choice in _free_assignments(free_tuples, props):
-        candidate = structure.with_relations(
-            {name: structure.relations[name] | choice}
-        )
-        if _relation_ok(spec, candidate, name):
-            return candidate
-    return None
+    if "transitive" in props:
+        n = structure.size
+        succ = [0] * n
+        for a, b in table:
+            succ[a] |= 1 << b
+        for k in range(n):  # Warshall on successor bitsets
+            for a in range(n):
+                if succ[a] >> k & 1:
+                    succ[a] |= succ[k]
+        closure = {(a, b) for a in range(n) for b in range(n) if succ[a] >> b & 1}
+        added = closure - table
+        if not added.issubset(free_tuples):
+            return None
+        if "trichotomous" in props:
+            below = [0] * n
+            for a, b in closure:
+                if a != b:
+                    below[b] += 1
+            added = {(u, v) for u, v in free_tuples if (below[u], u) < (below[v], v)}
+    elif "trichotomous" in props:
+        added = {t for t in free_tuples if t == tuple(sorted(set(t)))}
+    else:
+        added = ()
+    if added:
+        structure = structure.with_relations({name: table | added})
+    return structure if _relation_ok(spec, structure, name) else None
 
 
 def _relation_ok(spec, structure, name) -> bool:
@@ -593,58 +619,6 @@ def _relation_ok(spec, structure, name) -> bool:
         check_relation_property(structure, name, prop)
         for prop in spec.properties(name)
     )
-
-
-def _constructive_fill(spec, structure, name, free_tuples, props):
-    arity = spec.signature.arity(name)
-    table = set(structure.relations[name])
-    if "transitive" in props and arity == 2:
-        if "symmetric" in props:
-            # Equivalence-style: relate across parts only through a common
-            # related point already present (class-merging along the base).
-            closure = _transitive_symmetric_closure(table, structure.size, props)
-            added = closure.intersection(free_tuples)
-            extra = closure - table - added
-            if extra:
-                return None
-            return structure.with_relations({name: table | added})
-        # Order-style: merge by counting how many related "pivots" precede.
-        # Free binary tuples never repeat a point and come in both
-        # orientations, so this keeps exactly one orientation per pair.
-        below = {v: sum(1 for u in range(structure.size) if (u, v) in table) for v in range(structure.size)}
-        chosen = {(u, v) for u, v in free_tuples if (below[u], u) < (below[v], v)}
-        return structure.with_relations({name: table | chosen})
-    if "trichotomous" in props:
-        chosen = set()
-        seen = set()
-        for tup in sorted(free_tuples):
-            if len(set(tup)) != len(tup):
-                continue
-            key = frozenset(tup)
-            if key not in seen:
-                seen.add(key)
-                chosen.add(tup)
-        return structure.with_relations({name: table | chosen})
-    # Symmetric or unconstrained without transitivity: leave everything out.
-    return structure.with_relations({name: table})
-
-
-def _transitive_symmetric_closure(table, size, props):
-    rel = set(table)
-    if "reflexive" in props:
-        rel |= {(a, a) for a in range(size)}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(rel):
-            if (b, a) not in rel:
-                rel.add((b, a))
-                changed = True
-            for c in range(size):
-                if (b, c) in rel and (a, c) not in rel:
-                    rel.add((a, c))
-                    changed = True
-    return rel
 
 
 def _free_assignments(free_tuples, props) -> Iterator[set[tuple[int, ...]]]:

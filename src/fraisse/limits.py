@@ -295,7 +295,6 @@ def build_generic_model(
     level: int,
     size_cap: int,
     check_amalgamation: bool = True,
-    amalgamation_bound: int | None = None,
 ) -> GenericModel:
     """Close the empty structure under one-point extension demands.
 
@@ -319,8 +318,7 @@ def build_generic_model(
     if not spec.is_binary():
         raise NonBinarySignature("generic-model closure needs a binary signature")
     if check_amalgamation:
-        bound = level + 1 if amalgamation_bound is None else amalgamation_bound
-        bound = max(bound, 1)
+        bound = level + 1
         axiom_report = verify_class_axioms(spec, bound, "strong_amalgamation")
         if not axiom_report:
             raise NotAmalgamation(
@@ -373,30 +371,37 @@ def _close_graph(spec: ClassSpec, level: int, size_cap: int):
 
 
 def _close_generic(spec: ClassSpec, level: int, size_cap: int):
-    structure = _add_witness(spec, spec.empty_structure(), [], None)
-    if structure is None:
-        raise NotAmalgamation(f"{spec.name} admits no one-point structure")
-    vmax = 0
+    structure = spec.empty_structure()
+    vmax = -1  # the empty subset first: its types are the one-point members
     while vmax < structure.size:
-        for size in range(1, level + 1):
-            if size > vmax + 1:
-                continue
-            for rest in itertools.combinations(range(vmax), size - 1):
-                subset = list(rest) + [vmax]
-                # the scan reads the structure as it was before this subset's
-                # witnesses: a witness realizes exactly the type it was added
-                # for, never another type over the same subset
-                for atoms in _unrealized_types(spec, structure, subset):
-                    if structure.size >= size_cap:
-                        return structure, False
-                    grown = _add_witness(spec, structure, subset, atoms)
-                    if grown is None:
-                        # the demand was consistent on the subset alone but
-                        # has no completion against the whole model
-                        return structure, False
-                    structure = grown
+        for subset in _subsets_with_max(vmax, level):
+            # the scan reads the structure as it was before this subset's
+            # witnesses: a witness realizes exactly the type it was added
+            # for, never another type over the same subset
+            for atoms in _unrealized_types(spec, structure, subset):
+                if structure.size >= size_cap:
+                    return structure, False
+                grown = _add_witness(spec, structure, subset, atoms)
+                if grown is None:
+                    # the demand was consistent on the subset alone but
+                    # has no completion against the whole model
+                    return structure, False
+                structure = grown
         vmax += 1
+    if structure.size == 0:
+        raise NotAmalgamation(f"{spec.name} admits no one-point structure")
     return structure, True
+
+
+def _subsets_with_max(vmax: int, level: int):
+    """The subsets of at most ``level`` points whose largest point is
+    ``vmax``, size-major; for ``vmax == -1`` the empty subset."""
+    if vmax < 0:
+        yield []
+        return
+    for size in range(1, min(level, vmax + 1) + 1):
+        for rest in itertools.combinations(range(vmax), size - 1):
+            yield [*rest, vmax]
 
 
 def _add_witness(spec, structure, subset, atoms):
@@ -410,13 +415,12 @@ def _add_witness(spec, structure, subset, atoms):
     for u in others:
         pair_options[u] = _pair_choice_list(spec, u, n)
     diag_options = _diag_choice_list(spec, n)
-    forced: dict[str, set] = {name: set() for name in names}
-    if atoms is not None:
-        translate = {i: p for i, p in enumerate(subset)}
-        translate[len(subset)] = n
-        for name in names:
-            for tup in atoms[name]:
-                forced[name].add(tuple(translate[x] for x in tup))
+    translate = {i: p for i, p in enumerate(subset)}
+    translate[len(subset)] = n
+    forced = {
+        name: {tuple(translate[x] for x in tup) for tup in atoms[name]}
+        for name in names
+    }
 
     order = sorted(others, key=lambda u: _hash_bits(u, n, salt=1))
 

@@ -10,10 +10,10 @@ nonzero sign to +1 leaves (3^k + 1)/2 directions, the all-zero vector
 standing for singletons.
 
 The upper-bound calculator evaluates the standard recursions on top of
-a pluggable classical Ramsey bound (default: the additive multicolor
-bound for 2-subsets, pigeonhole for 1-subsets).  Values are guaranteed
-sufficient, never tight, and explode quickly; everything is big-integer
-arithmetic.
+two classical Ramsey bounds: the multicolor bound for 2-subsets
+(``multicolor_ramsey_upper``) and pigeonhole for 1-subsets.  Values are
+guaranteed sufficient, never tight, and explode quickly; everything is
+big-integer arithmetic.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .kernels import find_mono_box_2d
 
@@ -165,48 +166,46 @@ def find_monochromatic_box(coloring: BoxColoring, m: int):
     under the point coloring, or None after exhaustive search.
 
     Search order: color-major, then lexicographic over index-set
-    combinations, so the first hit is canonical.  Per color, only indices
-    whose axis-aligned slice meets the color enough times are candidates.
+    combinations, so the first hit is canonical.  A color class is held
+    as column sets of the last axis, one per prefix of the leading axes;
+    each chosen index set of a leading axis folds that axis away by
+    intersecting the column sets it selects, and the last two axes go to
+    :func:`~fraisse.kernels.find_mono_box_2d`.
     """
     if coloring.point_map is None:
         raise ValueError("point finder needs a point map")
     if m > coloring.n:
         raise ValueError(f"m {m} exceeds side {coloring.n}")
     k, n = coloring.k, coloring.n
-    if k == 2:
-        for color in range(coloring.colors):
-            rows = [
-                sum(1 << j for j in range(n) if coloring.point_map[i * n + j] == color)
-                for i in range(n)
-            ]
-            hit = find_mono_box_2d(rows, m)
-            if hit is not None:
-                return [list(hit[0]), list(hit[1])]
-        return None
-    points = coloring.points()
     for color in range(coloring.colors):
-        slices = [
-            [
-                i
-                for i in range(n)
-                if sum(
-                    1
-                    for p in points
-                    if p[axis] == i and coloring.point_color(p) == color
-                )
-                >= m ** (k - 1)
-            ]
-            for axis in range(k)
+        rows = [
+            sum(1 << j for j in range(n) if coloring.point_map[p * n + j] == color)
+            for p in range(n ** (k - 1))
         ]
-        if any(len(s) < m for s in slices):
-            continue
-        for sets in itertools.product(
-            *(itertools.combinations(s, m) for s in slices)
-        ):
-            if all(
-                coloring.point_color(p) == color for p in itertools.product(*sets)
-            ):
-                return [list(s) for s in sets]
+        hit = _box_in_class(rows, k - 1, n, m)
+        if hit is not None:
+            return hit
+    return None
+
+
+def _box_in_class(rows: list[int], lead: int, n: int, m: int):
+    """The first box of side m inside a color class given by the column
+    sets ``rows`` of its last axis over ``lead`` leading axes, or None."""
+    if lead == 0:
+        cols = [j for j in range(n) if rows[0] >> j & 1]
+        return [cols[:m]] if len(cols) >= m else None
+    if lead == 1:
+        hit = find_mono_box_2d(rows, m)
+        return None if hit is None else [list(hit[0]), list(hit[1])]
+    stride = n ** (lead - 1)
+    for chosen in itertools.combinations(range(n), m):
+        folded = [
+            reduce(operator.and_, (rows[i * stride + r] for i in chosen), -1)
+            for r in range(stride)
+        ]
+        hit = _box_in_class(folded, lead - 1, n, m)
+        if hit is not None:
+            return [list(chosen), *hit]
     return None
 
 
@@ -278,9 +277,7 @@ def _ramsey2(sizes: tuple[int, ...]) -> int:
     return total
 
 
-def box_ramsey_upper_bound(
-    k: int, colors: int, m: int, kind: str = "point", ramsey2=None
-) -> int:
+def box_ramsey_upper_bound(k: int, colors: int, m: int, kind: str = "point") -> int:
     """A grid side guaranteed to contain a monochromatic side-m box.
 
     Point kind: dimension 1 is the pigeonhole colors*(m-1)+1; each added
@@ -298,8 +295,6 @@ def box_ramsey_upper_bound(
         raise ValueError(f"need k, colors, m >= 1, got {(k, colors, m)}")
     if kind not in ("point", "directed"):
         raise ValueError(f"unknown kind {kind!r}")
-    if ramsey2 is None:
-        ramsey2 = multicolor_ramsey_upper
     if colors == 1:
         return m
     if kind == "point":
@@ -308,12 +303,10 @@ def box_ramsey_upper_bound(
             n = max(n, (m - 1) * colors ** (n ** (dim - 1)) + 1)
         return max(n, m)
     s = colors * (m - 1) + 1
-    n = ramsey2((s,) * colors)
+    n = multicolor_ramsey_upper((s,) * colors)
     for dim in range(2, k + 1):
         inner_colors = colors ** (len(directions(dim - 1)) * 2)
-        n_prev = box_ramsey_upper_bound(
-            dim - 1, inner_colors, m, kind="directed", ramsey2=ramsey2
-        )
+        n_prev = box_ramsey_upper_bound(dim - 1, inner_colors, m, kind="directed")
         if n_prev.bit_length() > 64:
             raise OverflowError(
                 f"directed bound explodes at dimension {dim}: the inner side "
@@ -321,6 +314,6 @@ def box_ramsey_upper_bound(
             )
         axis_colors = colors ** (n_prev**2)
         s_axis = axis_colors * (m - 1) + 1
-        n_axis = ramsey2((s_axis,) * axis_colors)
+        n_axis = multicolor_ramsey_upper((s_axis,) * axis_colors)
         n = max(n_prev, n_axis)
     return max(n, m)

@@ -588,11 +588,15 @@ def glue(
     return FiniteStructure(sig, a.size, tables)
 
 
+MAX_ENUMERATION_SIZE = 8
+"""The largest size ``enumerate_structures`` accepts: canonical forms
+score n! relabellings."""
+
+
 def enumerate_structures(
     spec,
     size: int,
     budget: int | None = None,
-    max_size_guard: int = 8,
 ) -> list[FiniteStructure]:
     """All members of ``spec`` with exactly ``size`` points, up to isomorphism.
 
@@ -605,9 +609,9 @@ def enumerate_structures(
     """
     if size < 0:
         raise ValueError(f"size {size} < 0")
-    if size > max_size_guard:
+    if size > MAX_ENUMERATION_SIZE:
         raise BoundExceeded(
-            f"enumeration up to iso at size {size} exceeds guard {max_size_guard}"
+            f"enumeration up to iso at size {size} exceeds guard {MAX_ENUMERATION_SIZE}"
         )
     empty = FiniteStructure.build(spec.signature, 0)
     if size == 0:

@@ -16,13 +16,18 @@ every permutation, encode, keep the first least encoding.
 ``reference_verify_amalgamation`` is the amalgamation check before it
 decided one diagram per isomorphism type: it runs the amalgam search on
 every instance, and every amalgam candidate ends with a full ``admits``.
+
+``reference_fill_relation`` is ``classes._fill_relation`` before each
+relation was completed by construction: a guess tailored to the declared
+properties, then exhaustive search over the orbit-respecting assignments
+of the free tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from fraisse.classes import _fill_relation, _mixed_tuples
+from fraisse.classes import _free_assignments, _mixed_tuples, check_relation_property
 from fraisse.config import Coord, formula_refs
 from fraisse.errors import BudgetExceeded, SignatureMismatch
 from fraisse.report import VerificationReport
@@ -199,7 +204,82 @@ def _reference_candidate(spec, b0, f0, b1, f1, pairing):
     private0 = frozenset(range(b0.size)).difference(to_c.values())
     for name, arity in spec.signature.symbols:
         free = _mixed_tuples(size, arity, private0, b0.size)
-        candidate = _fill_relation(spec, candidate, name, free)
+        candidate = reference_fill_relation(spec, candidate, name, free)
         if candidate is None:
             return None
     return candidate if spec.admits(candidate) else None
+
+
+def reference_fill_relation(spec, structure, name, free_tuples):
+    """Choose the undecided tuples of one relation so its properties hold,
+    or None: the guess first, then every assignment in turn."""
+
+    def ok(candidate):
+        return all(
+            check_relation_property(candidate, name, prop)
+            for prop in spec.properties(name)
+        )
+
+    if not free_tuples:
+        return structure if ok(structure) else None
+    props = spec.properties(name)
+    guess = _guess_fill(spec, structure, name, free_tuples, props)
+    if guess is not None and ok(guess):
+        return guess
+    for choice in _free_assignments(free_tuples, props):
+        candidate = structure.with_relations(
+            {name: structure.relations[name] | choice}
+        )
+        if ok(candidate):
+            return candidate
+    return None
+
+
+def _guess_fill(spec, structure, name, free_tuples, props):
+    arity = spec.signature.arity(name)
+    table = set(structure.relations[name])
+    if "transitive" in props and arity == 2:
+        if "symmetric" in props:
+            # relate across parts only through a common related point
+            closure = _transitive_symmetric_closure(table, structure.size, props)
+            added = closure.intersection(free_tuples)
+            if closure - table - added:
+                return None
+            return structure.with_relations({name: table | added})
+        # order by the number of related points below, one orientation per pair
+        below = {
+            v: sum(1 for u in range(structure.size) if (u, v) in table)
+            for v in range(structure.size)
+        }
+        chosen = {(u, v) for u, v in free_tuples if (below[u], u) < (below[v], v)}
+        return structure.with_relations({name: table | chosen})
+    if "trichotomous" in props:
+        chosen = set()
+        seen = set()
+        for tup in sorted(free_tuples):
+            if len(set(tup)) != len(tup):
+                continue
+            key = frozenset(tup)
+            if key not in seen:
+                seen.add(key)
+                chosen.add(tup)
+        return structure.with_relations({name: table | chosen})
+    return structure.with_relations({name: table})
+
+
+def _transitive_symmetric_closure(table, size, props):
+    rel = set(table)
+    if "reflexive" in props:
+        rel |= {(a, a) for a in range(size)}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(rel):
+            if (b, a) not in rel:
+                rel.add((b, a))
+                changed = True
+            for c in range(size):
+                if (b, c) in rel and (a, c) not in rel:
+                    rel.add((a, c))
+                    changed = True
+    return rel

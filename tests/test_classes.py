@@ -23,10 +23,10 @@ from fraisse.classes import (
     verify_class_axioms,
 )
 from fraisse import classes
-from fraisse.classes import _amalgam_candidate, _arm_key, _find_amalgam
+from fraisse.classes import _amalgam_candidate, _arm_key, _fill_relation, _find_amalgam
 from fraisse.errors import TransitivityOnNonBinary, UnknownRelation
 from fraisse.structures import FiniteStructure, Signature, find_embeddings
-from reference_search import reference_verify_amalgamation
+from reference_search import reference_fill_relation, reference_verify_amalgamation
 
 
 def tournament_3cycle():
@@ -462,6 +462,119 @@ def test_amalgam_search_runs_once_per_diagram_type(monkeypatch):
     report = verify_class_axioms(builtin("G"), 4, "strong_amalgamation")
     assert report.details["instances"] == 13014
     assert calls <= 1276
+
+
+# -- each relation of an amalgam completed by construction ---------------------------
+
+
+def _one_relation(name, props):
+    return ClassSpec(name, Signature((("R", 2),)), (("R", frozenset(props)),))
+
+
+TRANSITIVE_CLASSES = [
+    _one_relation("strict-partial-order", ("irreflexive", "transitive")),
+    _one_relation("partial-preorder", ("reflexive", "transitive")),
+    _one_relation("transitive", ("transitive",)),
+    _one_relation("symmetric-transitive", ("symmetric", "transitive")),
+    _one_relation("order-with-loops", ("trichotomous", "transitive")),
+    _one_relation("reflexive-order", ("reflexive", "trichotomous", "transitive")),
+    _one_relation("symmetric-order", ("symmetric", "trichotomous", "transitive")),
+    symmetric_trichotomous(),
+]
+
+
+def _checked_fill(spec, structure, name, free):
+    """The fill, asserted to exist exactly when the reference's does and to
+    complete only the free tuples."""
+    got = _fill_relation(spec, structure, name, free)
+    expected = reference_fill_relation(spec, structure, name, free)
+    assert (got is None) == (expected is None), (spec.name, structure, sorted(free))
+    if got is not None:
+        before, after = structure.relations[name], got.relations[name]
+        assert before <= after and after - before <= free
+        assert classes._relation_ok(spec, got, name)
+        assert all(
+            got.relations[n] == structure.relations[n]
+            for n in structure.signature.names
+            if n != name
+        )
+    return got
+
+
+def _amalgam_candidates(spec, bound, all_pairings):
+    """Build every amalgam candidate of the instances up to ``bound``: the
+    strong pairing, and every pairing if ``all_pairings``."""
+    members = spec.members_upto(bound)
+    for base in [spec.empty_structure(), *members]:
+        arms = [
+            (b, emb.mapping)
+            for b in members
+            if b.size >= base.size
+            for emb in find_embeddings(base, b)
+        ]
+        for i, (b0, f0) in enumerate(arms):
+            for b1, f1 in arms[i:]:
+                _amalgam_candidate(spec, b0, f0, b1, f1, {})
+                if not all_pairings:
+                    continue
+                x0 = [v for v in range(b0.size) if v not in f0]
+                x1 = [v for v in range(b1.size) if v not in f1]
+                for k in range(1, min(len(x0), len(x1)) + 1):
+                    for sub0 in itertools.combinations(x0, k):
+                        for sub1 in itertools.permutations(x1, k):
+                            pairing = dict(zip(sub1, sub0))
+                            _amalgam_candidate(spec, b0, f0, b1, f1, pairing)
+
+
+def _fill_sweeps():
+    for name, spec, _ in _differential_classes():
+        if "*" in name or name in BUILTIN_NAMES:
+            yield name, spec, 3, False
+    yield "LO-bound-4", builtin("LO"), 4, True
+    yield "E-all-pairings", builtin("E"), 3, True
+    for spec in TRANSITIVE_CLASSES:
+        # plain transitive relations have the most members: strong pairing only
+        yield spec.name, spec, 3, spec.name != "transitive"
+
+
+FILL_SWEEPS = {name: (spec, bound, every) for name, spec, bound, every in _fill_sweeps()}
+
+
+@pytest.mark.parametrize("name", sorted(FILL_SWEEPS))
+def test_fill_relation_matches_the_reference(name, monkeypatch):
+    spec, bound, all_pairings = FILL_SWEEPS[name]
+    fills = 0
+
+    def checked(*args):
+        nonlocal fills
+        fills += 1
+        return _checked_fill(*args)
+
+    monkeypatch.setattr(classes, "_fill_relation", checked)
+    _amalgam_candidates(spec, bound, all_pairings)
+    assert fills > 0 or not spec.signature.names
+
+
+def test_fill_relation_matches_the_reference_on_random_parts():
+    """Decided parts drawn at random, so not members of the class: most
+    have no completion, which the amalgams of members rarely show."""
+    rng = random.Random(20200706)
+    outcomes = set()
+    for i in range(1200):
+        spec = TRANSITIVE_CLASSES[i % len(TRANSITIVE_CLASSES)]
+        size = rng.randint(2, 5)
+        first1 = rng.randint(1, size - 1)
+        private0 = frozenset(v for v in range(first1) if rng.random() < 0.6)
+        free = classes._mixed_tuples(size, 2, private0 or frozenset({0}), first1)
+        density = rng.choice((0.1, 0.3, 0.5))
+        table = {
+            tup
+            for tup in itertools.product(range(size), repeat=2)
+            if tup not in free and rng.random() < density
+        }
+        structure = FiniteStructure.build(spec.signature, size, {"R": table})
+        outcomes.add(_checked_fill(spec, structure, "R", free) is None)
+    assert outcomes == {True, False}
 
 
 def test_property_preservation_under_superposition():

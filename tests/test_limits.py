@@ -5,7 +5,7 @@ import random
 import pytest
 
 from fraisse import kernels
-from fraisse.classes import builtin, parse_class_expr
+from fraisse.classes import ClassSpec, builtin, parse_class_expr
 from fraisse.errors import NotAmalgamation
 from fraisse.limits import (
     GenericModel,
@@ -15,7 +15,7 @@ from fraisse.limits import (
     check_extension_property,
     order_box_embedding,
 )
-from fraisse.structures import enumerate_structures, find_embeddings
+from fraisse.structures import Signature, enumerate_structures, find_embeddings
 
 
 def test_box_model_shape():
@@ -262,8 +262,7 @@ def test_order_superposition_hits_cap():
 def test_amalgamation_precheck_rejects_bad_class():
     # matchings (graphs of maximum degree 1) fail strong amalgamation:
     # two edges through a shared point force degree 2
-    from fraisse.classes import ClassSpec, MembershipPredicate
-    from fraisse.structures import Signature
+    from fraisse.classes import MembershipPredicate
 
     def max_degree_one(s):
         degrees = [0] * s.size
@@ -281,6 +280,34 @@ def test_amalgamation_precheck_rejects_bad_class():
         (pred,),
     )
     with pytest.raises(NotAmalgamation, match="at bound 2$"):
+        build_generic_model(spec, level=1, size_cap=16)
+
+
+def _one_relation(name, props):
+    return ClassSpec(name, Signature((("R", 2),)), (("R", frozenset(props)),))
+
+
+@pytest.mark.parametrize(
+    "props,level,closed,size",
+    [
+        # two one-point members, a loop and none, that cannot share a
+        # model: no two-point member exists, so joint embedding fails
+        (("symmetric", "trichotomous"), 1, False, 1),
+        # loops free: both one-point types are demanded over the empty set
+        (("symmetric",), 0, True, 2),
+    ],
+)
+def test_certificate_agrees_with_the_extension_check(props, level, closed, size):
+    spec = _one_relation("R", props)
+    model = build_generic_model(spec, level, 16)
+    assert (model.meta["closed"], model.size) == (closed, size)
+    assert model.certified_level == (level if closed else -1)
+    assert bool(check_extension_property(model, level)) == closed
+
+
+def test_class_without_one_point_members_has_no_model():
+    spec = _one_relation("R", ("reflexive", "irreflexive"))
+    with pytest.raises(NotAmalgamation, match="admits no one-point structure"):
         build_generic_model(spec, level=1, size_cap=16)
 
 

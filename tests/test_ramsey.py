@@ -120,22 +120,23 @@ def test_fast_and_generic_paths_agree_on_3d():
 
 
 def _first_box_by_brute_force(coloring, m):
-    """Color-major, then row sets, then column sets, all lexicographic."""
-    n = coloring.n
+    """Color-major, then the index sets of each axis in turn, all
+    lexicographic."""
+    axis = list(itertools.combinations(range(coloring.n), m))
     for color in range(coloring.colors):
-        for rows in itertools.combinations(range(n), m):
-            for cols in itertools.combinations(range(n), m):
-                if all(coloring.point_color(p) == color for p in itertools.product(rows, cols)):
-                    return [list(rows), list(cols)]
+        for sets in itertools.product(axis, repeat=coloring.k):
+            if all(coloring.point_color(p) == color for p in itertools.product(*sets)):
+                return [list(s) for s in sets]
     return None
 
 
-def test_planar_finder_matches_brute_force():
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_planar_finder_matches_brute_force(k):
     rng = random.Random(20200707)
     outcomes = set()
     for seed in range(120):
-        n = rng.randint(1, 7)
-        coloring = random_point_coloring(2, n, rng.randint(1, 3), seed=seed)
+        n = rng.randint(1, 7 if k < 3 else 4)
+        coloring = random_point_coloring(k, n, rng.randint(1, 3), seed=seed)
         m = rng.randint(1, n)
         sets = find_monochromatic_box(coloring, m)
         assert sets == _first_box_by_brute_force(coloring, m), (seed, n, m)
