@@ -25,7 +25,7 @@ from fraisse.classes import (
 from fraisse import classes
 from fraisse.classes import _amalgam_candidate, _arm_key, _fill_relation, _find_amalgam
 from fraisse.errors import TransitivityOnNonBinary, UnknownRelation
-from fraisse.structures import FiniteStructure, Signature, find_embeddings
+from fraisse.structures import FiniteStructure, Signature, enumerate_structures, find_embeddings
 from reference_search import reference_fill_relation, reference_verify_amalgamation
 
 
@@ -471,7 +471,9 @@ def _one_relation(name, props):
     return ClassSpec(name, Signature((("R", 2),)), (("R", frozenset(props)),))
 
 
-TRANSITIVE_CLASSES = [
+# every transitive property set, loops allowed or not, plus R, whose free
+# pairs have no completion at all
+FILL_CLASSES = [
     _one_relation("strict-partial-order", ("irreflexive", "transitive")),
     _one_relation("partial-preorder", ("reflexive", "transitive")),
     _one_relation("transitive", ("transitive",)),
@@ -532,7 +534,7 @@ def _fill_sweeps():
             yield name, spec, 3, False
     yield "LO-bound-4", builtin("LO"), 4, True
     yield "E-all-pairings", builtin("E"), 3, True
-    for spec in TRANSITIVE_CLASSES:
+    for spec in FILL_CLASSES:
         # plain transitive relations have the most members: strong pairing only
         yield spec.name, spec, 3, spec.name != "transitive"
 
@@ -556,22 +558,32 @@ def test_fill_relation_matches_the_reference(name, monkeypatch):
 
 
 def test_fill_relation_matches_the_reference_on_random_parts():
-    """Decided parts drawn at random, so not members of the class: most
-    have no completion, which the amalgams of members rarely show."""
+    """Decided parts drawn at random: half of them cut from a hidden member
+    relabelled at random, so a completion exists, and half of them random
+    tables, which mostly have none.  Amalgams of small members show
+    neither often: their closures are short and rarely fail."""
     rng = random.Random(20200706)
+    members = {
+        (i, size): enumerate_structures(spec, size)
+        for i, spec in enumerate(FILL_CLASSES)
+        for size in range(2, 5)
+    }
     outcomes = set()
     for i in range(1200):
-        spec = TRANSITIVE_CLASSES[i % len(TRANSITIVE_CLASSES)]
-        size = rng.randint(2, 5)
+        spec = FILL_CLASSES[i % len(FILL_CLASSES)]
+        size = rng.randint(2, 4)
         first1 = rng.randint(1, size - 1)
         private0 = frozenset(v for v in range(first1) if rng.random() < 0.6)
         free = classes._mixed_tuples(size, 2, private0 or frozenset({0}), first1)
-        density = rng.choice((0.1, 0.3, 0.5))
-        table = {
-            tup
-            for tup in itertools.product(range(size), repeat=2)
-            if tup not in free and rng.random() < density
-        }
+        hidden_members = members[i % len(FILL_CLASSES), size]
+        if i % 2 and hidden_members:
+            perm = list(range(size))
+            rng.shuffle(perm)
+            hidden = rng.choice(hidden_members).relabel(perm).relations["R"]
+        else:
+            density = rng.choice((0.1, 0.3, 0.5))
+            hidden = {t for t in itertools.product(range(size), repeat=2) if rng.random() < density}
+        table = {t for t in hidden if t not in free}
         structure = FiniteStructure.build(spec.signature, size, {"R": table})
         outcomes.add(_checked_fill(spec, structure, "R", free) is None)
     assert outcomes == {True, False}
