@@ -130,8 +130,7 @@ def _first_box_by_brute_force(coloring, m):
     return None
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_planar_finder_matches_brute_force(k):
+def _check_finder_against_brute_force(k):
     rng = random.Random(20200707)
     outcomes = set()
     for seed in range(120):
@@ -142,6 +141,16 @@ def test_planar_finder_matches_brute_force(k):
         assert sets == _first_box_by_brute_force(coloring, m), (seed, n, m)
         outcomes.add(sets is None)
     assert outcomes == {True, False}
+
+
+def test_planar_finder_matches_brute_force():
+    _check_finder_against_brute_force(2)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_box_finder_matches_brute_force(k):
+    # k = 1 takes the single-axis branch; k = 3 folds a leading axis first
+    _check_finder_against_brute_force(k)
 
 
 # -- directed boxes -------------------------------------------------------------------------
