@@ -174,14 +174,37 @@ class ClassSpec:
 
     # -- one-point extension choices (drives enumeration and searches) ----
 
+    def admits_extension(self, child: FiniteStructure) -> bool:
+        """Membership of a one-point extension built from the
+        :meth:`extension_choices` of a member: every relation keeps its
+        properties by construction, so only the custom predicates are
+        left to test."""
+        return all(pred.holds(child) for pred in self.predicates)
+
     def extension_choices(
         self, parent: FiniteStructure, name: str
     ) -> Iterator[frozenset[tuple[int, ...]]]:
-        """All assignments of the new tuples mentioning a fresh point that
-        respect the *local* properties of ``name`` (transitivity and custom
-        predicates are filtered later by ``admits``)."""
+        """All assignments of the new tuples mentioning a fresh point under
+        which ``name`` keeps its declared properties, for a ``parent`` on
+        which it has them (a member of the class, say).
+
+        Symmetry, trichotomy, reflexivity and irreflexivity each hold by
+        construction: whole permutation orbits, one orientation per point
+        set, the constant tuple forced, repeated entries left out.  Only
+        what the construction cannot ensure is tested per choice:
+        transitivity (:func:`_transitive_extension`), and the two pairs of
+        properties it cannot meet at once.  A reflexive irreflexive
+        relation has no choice at all, and one orientation per point set
+        is never symmetric, so a symmetric trichotomous relation keeps
+        only the choices closed under permutation.  Custom predicates
+        are left to :meth:`admits_extension`.
+        """
         props = self.properties(name)
         arity = self.signature.arity(name)
+        if "transitive" in props and arity != 2:
+            raise TransitivityOnNonBinary(f"{name!r} has arity {arity}")
+        if "reflexive" in props and "irreflexive" in props:
+            return
         forced: set[tuple[int, ...]] = set()
         open_tuples: list[tuple[int, ...]] = []
         for tup in all_extension_tuples(parent.size, arity):
@@ -192,8 +215,15 @@ class ClassSpec:
                     forced.add(tup)
                     continue
             open_tuples.append(tup)
+        checks = []
+        if "transitive" in props:
+            checks.append(_transitive_extension(parent.relations[name], parent.size))
+        if "symmetric" in props and "trichotomous" in props:
+            checks.append(_closed_under_permutation)
         for chosen in _free_assignments(open_tuples, props):
-            yield frozenset(forced) | chosen
+            choice = frozenset(forced) | chosen
+            if all(check(choice) for check in checks):
+                yield choice
 
     # -- convenience -------------------------------------------------------
 
@@ -621,6 +651,42 @@ def _relation_ok(spec, structure, name) -> bool:
     )
 
 
+def _transitive_extension(table, x):
+    """``keep(choice)``: does a transitive relation with ``table`` on
+    ``range(x)`` stay transitive with the tuples of ``choice`` added, all
+    of which mention the new point x?
+
+    A broken triangle R(a, b), R(b, c), not R(a, c) must involve x.
+    Either R(a, b) is new, and then b's successors must lie within a's;
+    or R(a, b) is old and c = x, and then every predecessor of b must be
+    a predecessor of x.
+    """
+    succ = [0] * (x + 1)
+    pred = [0] * x
+    for a, b in table:
+        succ[a] |= 1 << b
+        pred[b] |= 1 << a
+
+    def keep(choice):
+        child = succ.copy()
+        into = 0  # the predecessors of x
+        for a, b in choice:
+            child[a] |= 1 << b
+            if b == x:
+                into |= 1 << a
+        if any(child[b] & ~child[a] for a, b in choice):
+            return False
+        return not any(pred[b] & ~into for b in range(x) if into >> b & 1)
+
+    return keep
+
+
+def _closed_under_permutation(choice) -> bool:
+    return all(
+        perm in choice for tup in choice for perm in itertools.permutations(tup)
+    )
+
+
 def _free_assignments(free_tuples, props) -> Iterator[set[tuple[int, ...]]]:
     """Assignments of the given tuples that respect the local properties:
     one orientation per point set if trichotomous, whole orbits if
@@ -800,7 +866,9 @@ def check_self_similarity(
         # C's one-point extensions inside the class, shared by every
         # (A, p, S, tau) over C
         extensions = [
-            e for _, e in one_point_extensions(spec, c_struct) if spec.admits(e)
+            e
+            for _, e in one_point_extensions(spec, c_struct)
+            if spec.admits_extension(e)
         ]
         for a_subset in _subsets(c_struct.size):
             a_points = list(a_subset)
@@ -849,10 +917,11 @@ def _image_tuples(realizers: list[int], max_size: int):
 
 def consistent_one_types(spec: ClassSpec, anchor: FiniteStructure):
     """All atom assignments between a fresh point and the points of
-    ``anchor`` whose one-point extension stays in the class, over the
-    anchor's indexing (the fresh point is ``anchor.size``)."""
+    ``anchor``, a member of the class, whose one-point extension stays in
+    the class, over the anchor's indexing (the fresh point is
+    ``anchor.size``)."""
     for assignment, extended in one_point_extensions(spec, anchor):
-        if spec.admits(extended):
+        if spec.admits_extension(extended):
             yield assignment
 
 

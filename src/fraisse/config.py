@@ -13,6 +13,13 @@ for *all* tuples, including repeated entries.  Certificates are
 re-checkable by plain evaluation, independent of the search that found
 them.
 
+Evaluation is compiled: :func:`compile_formula` walks a formula tree
+once and returns a closure over the target's relation tables, and each
+check (``verify_configuration``, ``ConfigCertificate.recheck``,
+``PatternWitness.verify``) compiles its map's formulas once per call and
+keeps them no longer.  The tree walk it replaces, one per tuple, is the
+test oracle ``reference_evaluate`` in ``tests/reference_search.py``.
+
 Formulas are quantifier-free by design: every construction implemented
 here uses quantifier-free formulas, which keeps evaluation total, fast
 and decidable.  Verdicts are three-valued: a failed search only counts
@@ -32,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -80,10 +86,6 @@ class Atom:
     name: str
     args: tuple
 
-    def evaluate(self, target, tuples, params):
-        point = tuple(_resolve(a, tuples, params) for a in self.args)
-        return target.holds(self.name, point)
-
     def render(self) -> str:
         return f"{self.name}({', '.join(a.render() for a in self.args)})"
 
@@ -93,11 +95,6 @@ class Eq:
     left: object
     right: object
 
-    def evaluate(self, target, tuples, params):
-        return _resolve(self.left, tuples, params) == _resolve(
-            self.right, tuples, params
-        )
-
     def render(self) -> str:
         return f"{self.left.render()} = {self.right.render()}"
 
@@ -106,9 +103,6 @@ class Eq:
 class Not:
     inner: object
 
-    def evaluate(self, target, tuples, params):
-        return not self.inner.evaluate(target, tuples, params)
-
     def render(self) -> str:
         return f"!{_wrap(self.inner)}"
 
@@ -116,9 +110,6 @@ class Not:
 @dataclass(frozen=True)
 class And:
     parts: tuple
-
-    def evaluate(self, target, tuples, params):
-        return all(p.evaluate(target, tuples, params) for p in self.parts)
 
     def render(self) -> str:
         if not self.parts:
@@ -130,9 +121,6 @@ class And:
 class Or:
     parts: tuple
 
-    def evaluate(self, target, tuples, params):
-        return any(p.evaluate(target, tuples, params) for p in self.parts)
-
     def render(self) -> str:
         if not self.parts:
             return "false"
@@ -143,17 +131,8 @@ class Or:
 class Const:
     value: bool
 
-    def evaluate(self, target, tuples, params):
-        return self.value
-
     def render(self) -> str:
         return "true" if self.value else "false"
-
-
-def _resolve(ref, tuples, params):
-    if isinstance(ref, Coord):
-        return tuples[ref.slot][ref.coord]
-    return params[ref.index]
 
 
 def _wrap(f, at="not") -> str:
@@ -179,6 +158,17 @@ def formula_refs(formula):
     return []
 
 
+def formula_atoms(formula):
+    """All atoms appearing in a formula."""
+    if isinstance(formula, Atom):
+        return [formula]
+    if isinstance(formula, Not):
+        return formula_atoms(formula.inner)
+    if isinstance(formula, (And, Or)):
+        return [a for p in formula.parts for a in formula_atoms(p)]
+    return []
+
+
 def map_refs(formula, fn):
     """Rebuild a formula applying ``fn`` to every reference."""
     if isinstance(formula, Atom):
@@ -192,6 +182,85 @@ def map_refs(formula, fn):
     if isinstance(formula, Or):
         return Or(tuple(map_refs(p, fn) for p in formula.parts))
     return formula
+
+
+# -- compiled evaluation -----------------------------------------------------------
+
+
+def compile_formula(formula, target: FiniteStructure, params):
+    """``holds(tuples)``: the truth of ``formula`` in ``target`` when slot
+    i reads the tuple ``tuples[i]`` and parameter j is ``params[j]``.
+
+    The tree is walked once, here: each node becomes a closure over its
+    children's, and parameters are resolved to their values.  An atom
+    looks its point up in the target's relation table, so a point outside
+    the universe (a witness value of -1, say) never holds.  An atom that
+    does not fit the target's signature raises :class:`UnknownRelation`
+    or :class:`OutOfRange` here, as in :class:`InterpretationMap`.
+    """
+    if isinstance(formula, Const):
+        value = formula.value
+        return lambda tuples: value
+    if isinstance(formula, Not):
+        inner = compile_formula(formula.inner, target, params)
+        return lambda tuples: not inner(tuples)
+    if isinstance(formula, (And, Or)):
+        parts = [compile_formula(p, target, params) for p in formula.parts]
+        if isinstance(formula, And):
+
+            def conj(tuples):
+                for part in parts:
+                    if not part(tuples):
+                        return False
+                return True
+
+            return conj
+
+        def disj(tuples):
+            for part in parts:
+                if part(tuples):
+                    return True
+            return False
+
+        return disj
+    if isinstance(formula, Eq):
+        left = _compile_ref(formula.left, params)
+        right = _compile_ref(formula.right, params)
+        return lambda tuples: left(tuples) == right(tuples)
+    _check_atom(formula, target.signature)
+    table = target.relations[formula.name]
+    if len(formula.args) == 2 and all(isinstance(a, Coord) for a in formula.args):
+        # the shape of every built-in construction, read without getters
+        (s0, c0), (s1, c1) = ((a.slot, a.coord) for a in formula.args)
+        return lambda tuples: (tuples[s0][c0], tuples[s1][c1]) in table
+    getters = [_compile_ref(a, params) for a in formula.args]
+    return lambda tuples: tuple([get(tuples) for get in getters]) in table
+
+
+def _check_atom(atom, signature):
+    arity = signature.arity(atom.name)  # raises UnknownRelation
+    if len(atom.args) != arity:
+        raise OutOfRange(
+            f"atom {atom.render()} has {len(atom.args)} arguments, "
+            f"{atom.name} has arity {arity}"
+        )
+
+
+def _compile_ref(ref, params):
+    if isinstance(ref, Coord):
+        slot, coord = ref.slot, ref.coord
+        return lambda tuples: tuples[slot][coord]
+    value = params[ref.index]
+    return lambda tuples: value
+
+
+def compile_formulas(interp, target_structure):
+    """Each index relation's compiled formula (:func:`compile_formula`),
+    by relation name."""
+    return {
+        name: compile_formula(f, target_structure, interp.parameters)
+        for name, f in interp.formulas
+    }
 
 
 # -- the expression grammar -------------------------------------------------------
@@ -316,6 +385,8 @@ class InterpretationMap:
                 "formulas do not cover the index signature exactly"
             )
         for name, formula in self.formulas:
+            for atom in formula_atoms(formula):
+                _check_atom(atom, self.target_signature)
             arity = self.index_spec.signature.arity(name)
             for ref in formula_refs(formula):
                 if isinstance(ref, Coord):
@@ -348,6 +419,9 @@ class InterpretationMap:
 
     @classmethod
     def from_json(cls, data: dict) -> "InterpretationMap":
+        for key in ("index", "target_signature", "tuple_length", "formulas"):
+            if key not in data:
+                raise ValueError(f"interpretation JSON has no {key!r} key")
         spec = parse_class_expr(data["index"])
         return cls(
             spec,
@@ -395,10 +469,9 @@ class ConfigCertificate:
 
     def recheck(self) -> VerificationReport:
         """Independent re-evaluation of every biconditional (no search)."""
+        compiled = compile_formulas(self.interpretation, self.target.structure)
         for structure, witness in zip(self.structures, self.witnesses):
-            bad = witness_violation(
-                self.interpretation, self.target.structure, structure, witness
-            )
+            bad = _first_violation(compiled, structure, witness)
             if bad is not None:
                 return VerificationReport.refuted(
                     "certificate-recheck",
@@ -429,14 +502,29 @@ class ConfigCertificate:
 
 def witness_violation(interp, target_structure, structure, witness):
     """First violated biconditional of a witness map, or None."""
-    params = interp.parameters
+    return _first_violation(
+        compile_formulas(interp, target_structure), structure, witness
+    )
+
+
+def _first_violation(compiled, structure, witness):
+    """:func:`witness_violation` with the formulas already compiled.
+
+    Tuples of A run in lexicographic order, relations in signature order;
+    ``itertools.product`` over the witness yields each tuple's images in
+    the same order as over A's points.
+    """
+    if len(witness) != structure.size:
+        raise ValueError(
+            f"witness maps {len(witness)} points, the structure has {structure.size}"
+        )
     for name, arity in structure.signature.symbols:
-        formula = interp.formula(name)
-        for tup in itertools.product(range(structure.size), repeat=arity):
-            tuples = [witness[x] for x in tup]
-            if formula.evaluate(target_structure, tuples, params) != structure.holds(
-                name, tup
-            ):
+        holds = compiled[name]
+        table = structure.relations[name]
+        points = itertools.product(range(structure.size), repeat=arity)
+        images = itertools.product(witness, repeat=arity)
+        for tup, tuples in zip(points, images):
+            if holds(tuples) != (tup in table):
                 return {"relation": name, "tuple": list(tup)}
     return None
 
@@ -475,14 +563,17 @@ def verify_configuration(
     witnesses: list = [None] * len(structures)
     searched = list(range(len(structures)))
     if witness_builder is not None:
+        compiled = compile_formulas(interp, target.structure)
         for i, structure in enumerate(structures):
             proposal = witness_builder(structure)
-            if proposal is not None and witness_violation(
-                interp, target.structure, structure, proposal
+            if proposal is not None and _first_violation(
+                compiled, structure, proposal
             ) is None:
                 witnesses[i] = [tuple(t) for t in proposal]
         searched = [i for i in range(len(structures)) if witnesses[i] is None]
     if jobs > 1 and searched:
+        import multiprocessing  # only a pool pays for its import
+
         tasks = [(structures[i].dumps(), budget) for i in searched]
         with multiprocessing.Pool(
             jobs,
@@ -569,15 +660,19 @@ def search_witness(
     for name, arity in structure.signature.symbols:
         formula = interp.formula(name)
         refs = [r for r in formula_refs(formula) if isinstance(r, Coord)]
+        if not refs:
+            # a formula without coordinates is one truth value for all tuples
+            value = compile_formula(formula, target_structure, params)(())
+            table = structure.relations[name]
+            if any(
+                (tup in table) != value
+                for tup in itertools.product(range(size), repeat=arity)
+            ):
+                return None
+            continue
         for tup in itertools.product(range(size), repeat=arity):
             expected = structure.holds(name, tup)
             variables = sorted({tup[r.slot] * n + r.coord for r in refs})
-            if not variables:
-                # constraints with no coordinate references decide immediately
-                tuples = [(0,) * n] * max(1, size)
-                if formula.evaluate(target_structure, tuples, params) != expected:
-                    return None
-                continue
             allowed = _allowed_values(
                 formula if expected else Not(formula),
                 lambda ref, tup=tup: tup[ref.slot] * n + ref.coord,

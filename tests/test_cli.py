@@ -188,12 +188,16 @@ def test_bad_class_expression(capsys):
         ("generic-model", "--class", "G", "--level", "-3"),
         ("rank", "--class", "G", "--n", "1", "--level", "-1"),
         ("generic-model", "--class", "G", "--level", "2", "--size-cap", "-1"),
+        ("rank", "--class", "G", "--n", "0"),
+        ("rank", "--class", "G", "--n", "-1"),
     ],
     ids=[
         "enumerate-size",
         "generic-model-level",
         "rank-default-target-level",
         "generic-model-size-cap",
+        "rank-n-zero",
+        "rank-n-negative",
     ],
 )
 def test_negative_size_or_level_is_usage_error(capsys, argv):
@@ -291,6 +295,47 @@ def test_verify_config_model_without_key_is_usage_error(
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and repr(key) in err
+
+
+@pytest.mark.parametrize("key", ["index", "formulas", "target_signature", "tuple_length"])
+def test_verify_config_interpretation_without_key_is_usage_error(
+    capsys, tmp_path, config_files, key
+):
+    config_path, target_path = config_files
+    with open(config_path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    del data[key]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(data))
+    code, out, err = run(
+        capsys, "verify-config", "--config", str(broken), "--target", target_path
+    )
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "formula,message",
+    [("E(0.0)", "has 1 arguments, E has arity 2"), ("F(0.0, 1.0)", "no relation named 'F'")],
+    ids=["wrong-arity", "unknown-relation"],
+)
+def test_verify_config_atom_outside_target_signature_is_usage_error(
+    capsys, tmp_path, config_files, formula, message
+):
+    # such an atom used to read as false, and the map was reported refuted
+    config_path, target_path = config_files
+    with open(config_path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    data["formulas"] = {"E": formula}
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(data))
+    code, out, err = run(
+        capsys, "verify-config", "--config", str(broken), "--target", target_path
+    )
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
 
 
 # -- output shape ------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from fraisse.config import (
     Not,
     Or,
     Param,
+    compile_formula,
     compose_configurations,
     identity_interpretation,
     make_parameter_free,
@@ -30,6 +31,7 @@ from fraisse.errors import (
     NotReductive,
     OutOfRange,
     SignatureMismatch,
+    UnknownRelation,
 )
 from fraisse.report import VerificationReport
 
@@ -90,11 +92,14 @@ def test_render_parse_round_trip_law(f):
 def test_formula_evaluation(graph_model):
     structure = graph_model.structure
     edge = next(iter(structure.relations["E"]))
-    f = parse_formula("E(0.0, 1.0)")
-    assert f.evaluate(structure, [(edge[0],), (edge[1],)], ())
-    assert not parse_formula("!E(0.0, 1.0)").evaluate(
-        structure, [(edge[0],), (edge[1],)], ()
-    )
+    f = compile_formula(parse_formula("E(0.0, 1.0)"), structure, ())
+    assert f([(edge[0],), (edge[1],)])
+    g = compile_formula(parse_formula("!E(0.0, 1.0)"), structure, ())
+    assert not g([(edge[0],), (edge[1],)])
+    # a point outside the universe holds no atom, not even through wrapping
+    last = structure.size - 1
+    assert any((last, v) in structure.relations["E"] for v in range(structure.size))
+    assert not any(f([(-1,), (v,)]) for v in range(structure.size))
 
 
 # -- interpretation maps --------------------------------------------------------------
@@ -112,6 +117,21 @@ def test_interpretation_validates_references():
         )
     with pytest.raises(SignatureMismatch):
         InterpretationMap(G, G.signature, 1, (), ())
+
+
+@pytest.mark.parametrize(
+    "formula,error",
+    [
+        ("E(0.0)", OutOfRange),
+        ("E(0.0, 1.0, 0.0)", OutOfRange),
+        ("F(0.0, 1.0)", UnknownRelation),
+        ("!(0.0 = 1.0) & E(0.0)", OutOfRange),
+    ],
+)
+def test_interpretation_checks_atoms_against_the_target_signature(formula, error):
+    G = builtin("G")
+    with pytest.raises(error):
+        InterpretationMap(G, G.signature, 1, (), (("E", parse_formula(formula)),))
 
 
 def test_interpretation_json_round_trip():

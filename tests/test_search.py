@@ -28,6 +28,7 @@ from fraisse.config import (
     Or,
     Param,
     _allowed_values,
+    compile_formula,
     compose_configurations,
     identity_interpretation,
     make_parameter_free,
@@ -38,7 +39,7 @@ from fraisse.config import (
 from fraisse.errors import BudgetExceeded
 from fraisse.ranks import pad_interpretation
 from fraisse.structures import Embedding, FiniteStructure, Signature, find_embeddings, forward_search
-from reference_search import reference_embeddings, reference_witness
+from reference_search import reference_embeddings, reference_evaluate, reference_witness
 
 # the references stop here; beyond it only the fast result is checked
 ORACLE_BUDGET = 20_000
@@ -174,9 +175,75 @@ def test_compiled_formula_matches_evaluation(data):
         for x in range(target.size):
             trial = values[:last] + [x] + values[last + 1 :]
             tuples = [tuple(trial[:n]), tuple(trial[n:])]
-            if formula.evaluate(target, tuples, params):
+            if reference_evaluate(formula, target, tuples, params):
                 expected |= 1 << x
         assert allowed(values) == expected, last
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_compiled_evaluation_matches_tree_walk(data):
+    n = data.draw(st.integers(1, 2), label="tuple length")
+    target = data.draw(structures(MIXED, 1, 8), label="target")
+    params = tuple(
+        data.draw(st.lists(st.integers(0, target.size + 1), max_size=2), label="parameters")
+    )
+    formula = data.draw(formulas(n, len(params), 2), label="formula")
+    # witness values run one past the universe on both sides
+    point = st.integers(-1, target.size)
+    compiled = compile_formula(formula, target, params)
+    for _ in range(8):
+        tuples = [
+            tuple(data.draw(st.lists(point, min_size=n, max_size=n), label="tuple"))
+            for _ in range(2)
+        ]
+        assert compiled(tuples) == reference_evaluate(formula, target, tuples, params)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_first_violation_matches_tree_walk(data):
+    # witness_violation reports the first violated biconditional, in
+    # signature order and then tuple order
+    n = data.draw(st.integers(1, 2), label="tuple length")
+    target = data.draw(structures(MIXED, 1, 6), label="target")
+    params = tuple(
+        data.draw(st.lists(st.integers(0, target.size + 1), max_size=2), label="parameters")
+    )
+    interp = InterpretationMap(
+        INDEX,
+        MIXED,
+        n,
+        params,
+        (
+            ("R", data.draw(formulas(n, len(params), 2), label="R formula")),
+            ("U", data.draw(formulas(n, len(params), 1), label="U formula")),
+        ),
+    )
+    index = data.draw(structures(INDEX.signature, 1, 3), label="index structure")
+    point = st.integers(-1, target.size)
+    witness = [
+        tuple(data.draw(st.lists(point, min_size=n, max_size=n), label="tuple"))
+        for _ in range(index.size)
+    ]
+    expected = None
+    for name, arity in index.signature.symbols:
+        for tup in itertools.product(range(index.size), repeat=arity):
+            value = reference_evaluate(
+                interp.formula(name), target, [witness[x] for x in tup], params
+            )
+            if expected is None and value != index.holds(name, tup):
+                expected = {"relation": name, "tuple": list(tup)}
+    assert witness_violation(interp, target, index, witness) == expected
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_witness_of_the_wrong_length_is_rejected(length):
+    interp = identity_interpretation(builtin("G"))
+    target = random_structure(GRAPH, 4, 0, 0.5, symmetric=True, loops=False)
+    edge = random_structure(GRAPH, 2, 0, 1.0, symmetric=True, loops=False)
+    with pytest.raises(ValueError, match=f"witness maps {length} points"):
+        witness_violation(interp, target, edge, [(0,)] * length)
 
 
 def _maps():

@@ -32,14 +32,23 @@ def test_imports_are_stdlib_or_fraisse(path):
     assert not foreign
 
 
-def test_cli_import_loads_no_numpy():
+def _loaded_by_cli_import(module):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     child = subprocess.run(
-        [sys.executable, "-c", "import sys, fraisse.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, fraisse.cli; print({module!r} in sys.modules)"],
         capture_output=True,
         env=env,
         timeout=60,
         check=True,
     )
-    assert child.stdout.decode().strip() == "False"
+    return child.stdout.decode().strip() == "True"
+
+
+def test_cli_import_loads_no_numpy():
+    assert not _loaded_by_cli_import("numpy")
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # only ``verify_configuration(jobs > 1)`` needs a process pool
+    assert not _loaded_by_cli_import("multiprocessing")

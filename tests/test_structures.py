@@ -169,12 +169,12 @@ def test_enumeration_computes_one_canonical_form_per_admitted_child(monkeypatch)
     spec = builtin("G")
     admitted = 0
     forms = 0
-    admits = type(spec).admits
+    admits_extension = type(spec).admits_extension
     canonical_form = FiniteStructure.canonical_form
 
     def counting_admits(self, structure):
         nonlocal admitted
-        ok = admits(self, structure)
+        ok = admits_extension(self, structure)
         admitted += ok
         return ok
 
@@ -183,7 +183,7 @@ def test_enumeration_computes_one_canonical_form_per_admitted_child(monkeypatch)
         forms += 1
         return canonical_form(self)
 
-    monkeypatch.setattr(type(spec), "admits", counting_admits)
+    monkeypatch.setattr(type(spec), "admits_extension", counting_admits)
     monkeypatch.setattr(FiniteStructure, "canonical_form", counting_form)
     members = enumerate_structures(spec, 4)
     assert len(members) == 11
