@@ -44,7 +44,6 @@ from .structures import (
     EMPTY_SIGNATURE,
     FiniteStructure,
     Signature,
-    _encoding_scorer,
     all_extension_tuples,
     enumerate_structures_upto,
     find_embeddings,
@@ -502,28 +501,25 @@ def _verify_amalgamation(spec, bound, axiom, budget) -> VerificationReport:
 def _arm_key(b, f):
     """The isomorphism type of the arm ``(B, f)`` over its base.
 
-    B is relabelled so that f's image comes first, in f's order, and its
-    private points follow; the key is B's size and the least
-    :meth:`~FiniteStructure.encode` over the orders of the private points.
-    Two arms over one base get equal keys exactly when an isomorphism of
-    their B's carries one f to the other.
+    The key is B's size and the least :meth:`~FiniteStructure.encode`, as
+    an encoding slot, over the relabellings of B that put f's image first,
+    in f's order, and its private points after.  Two arms over one base
+    get equal keys exactly when an isomorphism of their B's carries one f
+    to the other.
     """
-    n, k = b.size, len(f)
-    scorers = [
-        _encoding_scorer(n, arity, b.relations[name])
-        for name, arity in b.signature.symbols
+    slots = b.encoding_slots()
+    return b.size, min(slots[i] for i in _fixing_relabellings(b.size, tuple(f)))
+
+
+@functools.lru_cache(maxsize=None)
+def _fixing_relabellings(n, f):
+    """The positions, in ``itertools.permutations(range(n))`` order, of the
+    permutations with ``perm[f[i]] == i`` for every i."""
+    return [
+        i
+        for i, perm in enumerate(itertools.permutations(range(n)))
+        if all(perm[v] == label for label, v in enumerate(f))
     ]
-    private = [v for v in range(n) if v not in f]
-    perm = [0] * n
-    for i, v in enumerate(f):
-        perm[v] = i
-
-    def code(labels):
-        for v, label in zip(private, labels):
-            perm[v] = label
-        return tuple(score(perm) for score in scorers)
-
-    return n, min(map(code, itertools.permutations(range(k, n))))
 
 
 def _find_amalgam(spec, b0, f0, b1, f1, strong):

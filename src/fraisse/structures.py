@@ -7,10 +7,11 @@ representation stays deliberately simple: tuples of ints in frozensets.
 
 Isomorphism is handled by brute-force canonicalisation: the canonical form
 of a structure is the relabelling (over all ``n!`` permutations) whose
-bit-encoding of the relation tables is minimal.  Each permutation is scored
-on the encoding computed straight from the permuted tuples; only the
-winning relabelling is built.  Universes stay small (single digits)
-throughout, so this is both adequate and easy to audit.
+bit-encoding of the relation tables is minimal.  All ``n!`` encodings are
+computed at once, as one big int ORed from a lazily built table of lanes
+(:func:`_lane_table`); only the winning relabelling is built.  Universes
+stay small (single digits) throughout, so this is both adequate and easy
+to audit.
 
 Structures from outside (the constructor, ``build``, ``from_json``/``loads``
 and ``glue``) are validated in ``__post_init__``.  Structures the module
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -106,26 +108,46 @@ def _tuple_index(n: int, arity: int) -> dict[tuple[int, ...], int]:
     return {t: i for i, t in enumerate(itertools.product(range(n), repeat=arity))}
 
 
-def _encoding_scorer(n: int, arity: int, table: Iterable[tuple[int, ...]]):
-    """``score(perm)``: the code :meth:`FiniteStructure.encode` gives one
-    relation with table ``table`` after relabelling by ``perm``."""
-    top = n**arity - 1
-    if arity == 2:
-        bits = [[1 << (top - x * n - y) for y in range(n)] for x in range(n)]
-        pairs = list(table)
-        return lambda perm: sum([bits[perm[x]][perm[y]] for x, y in pairs])
-    tuples = list(table)
+MAX_LANE_TABLE_BYTES = 1 << 28
+"""The largest lane table :func:`_lane_table` builds, in bytes: enough for
+three binary relations on 8 points, or one ternary relation on 7."""
 
-    def score(perm):
-        code = 0
-        for tup in tuples:
-            index = 0
+
+@lru_cache(maxsize=None)
+def _lane_table(n: int, arities: tuple[int, ...]):
+    """Lanes to OR into the encodings of all n! relabellings at once.
+
+    Relabelling i of ``itertools.permutations(range(n))`` owns slot i, the
+    i-th ``step`` bytes of a big-endian int: the relabelled structure's
+    :meth:`~FiniteStructure.encode` concatenated, first relation most
+    significant.  ``lanes[j][t]`` sets in every slot the bit of tuple t of
+    relation j under that slot's relabelling; ``fields[j]`` is the shift
+    and mask of relation j within a slot.  Built on first use only, and
+    never past :data:`MAX_LANE_TABLE_BYTES`.
+    """
+    widths = [n**arity for arity in arities]
+    step = max(1, (sum(widths) + 7) // 8)
+    needed = math.factorial(n) * step * sum(widths)
+    if needed > MAX_LANE_TABLE_BYTES:
+        raise BoundExceeded(
+            f"canonical form on {n} points with arities {list(arities)} needs "
+            f"{needed >> 20} MB of lanes, over {MAX_LANE_TABLE_BYTES >> 20} MB"
+        )
+    perms = list(itertools.permutations(range(n)))
+    shifts = [sum(widths[j + 1 :]) for j in range(len(widths))]
+    lanes = []
+    for arity, width, shift in zip(arities, widths, shifts):
+        # the slot in which only the bit of tuple index u is set
+        bits = [(1 << shift + width - 1 - u).to_bytes(step, "big") for u in range(width)]
+        lane = {}
+        for tup in itertools.product(range(n), repeat=arity):
+            index = [0] * len(perms)
             for x in tup:
-                index = index * n + perm[x]
-            code |= 1 << (top - index)
-        return code
-
-    return score
+                index = [u * n + perm[x] for u, perm in zip(index, perms)]
+            lane[tup] = int.from_bytes(b"".join([bits[u] for u in index]), "big")
+        lanes.append(lane)
+    fields = tuple((shift, (1 << width) - 1) for width, shift in zip(widths, shifts))
+    return perms, step, lanes, fields
 
 
 @dataclass(frozen=True)
@@ -242,21 +264,19 @@ class FiniteStructure:
 
     def induced_substructure(self, points: Sequence[int]) -> "FiniteStructure":
         """Substructure on ``points`` relabelled to ``0..len(points)-1`` in
-        the order given (duplicates rejected)."""
+        the order given (duplicates rejected), read off the tuples over
+        ``points`` alone."""
         if len(set(points)) != len(points):
             raise NotBijective(f"duplicate points in {points}")
         for p in points:
             if not (0 <= p < self.size):
                 raise OutOfRange(f"point {p} outside universe")
-        index = {p: i for i, p in enumerate(points)}
-        keep = set(points)
         tables = {}
         for name, table in self.relations.items():
-            tables[name] = frozenset(
-                tuple(index[x] for x in tup)
-                for tup in table
-                if all(x in keep for x in tup)
-            )
+            arity = self.signature.arity(name)
+            images = itertools.product(range(len(points)), repeat=arity)
+            tuples = itertools.product(points, repeat=arity)
+            tables[name] = frozenset(u for u, t in zip(images, tuples) if t in table)
         return FiniteStructure._trusted(self.signature, len(points), tables)
 
     def reduct(self, names: Sequence[str]) -> "FiniteStructure":
@@ -310,31 +330,42 @@ class FiniteStructure:
             out.append(code)
         return tuple(out)
 
-    def canonical_form(self) -> "FiniteStructure":
-        """Minimal relabelling under the bit-encoding, over all permutations.
+    def encoding_slots(self) -> list[bytes]:
+        """The :meth:`encode` of every relabelling, in the order of
+        ``itertools.permutations(range(size))``, each as one fixed-width
+        big-endian bytes slot (see :func:`_lane_table`), so that comparing
+        slots compares encodings."""
+        arities = tuple(self.signature._arities.values())
+        perms, step, lanes, _ = _lane_table(self.size, arities)
+        code = 0
+        for name, lane in zip(self.signature.names, lanes):
+            for tup in self.relations[name]:
+                code |= lane[tup]
+        data = code.to_bytes(len(perms) * step, "big")
+        return [data[k : k + step] for k in range(0, len(data), step)]
 
-        Each permutation is scored by the encoding its relabelling would
-        have, computed straight from the permuted tuples: the tuple ``t``
-        sets the bit of the mixed-radix value of ``perm[x] for x in t``,
-        the first tuple most significant, as in :meth:`encode`.  The first
-        permutation with the least score wins, and only its relabelling
-        is built.
-        """
-        n = self.size
-        scorers = [
-            _encoding_scorer(n, arity, self.relations[name])
-            for name, arity in self.signature.symbols
-        ]
-        best_perm = None
-        best_key = None
-        for perm in itertools.permutations(range(n)):
-            key = tuple(score(perm) for score in scorers)
-            if best_key is None or key < best_key:
-                best_perm, best_key = perm, key
-        return self.relabel(best_perm)
+    def canonical_labelling(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(perm, codes)``: the first permutation, in
+        ``itertools.permutations`` order, whose relabelling has the least
+        :meth:`encode`, and that encoding."""
+        arities = tuple(self.signature._arities.values())
+        perms, _, _, fields = _lane_table(self.size, arities)
+        slots = self.encoding_slots()
+        best = min(slots)
+        value = int.from_bytes(best, "big")
+        return perms[slots.index(best)], tuple(
+            (value >> shift) & mask for shift, mask in fields
+        )
+
+    def canonical_form(self) -> "FiniteStructure":
+        """Minimal relabelling under the bit-encoding, over all permutations:
+        the relabelling by :meth:`canonical_labelling`'s permutation."""
+        return self.relabel(self.canonical_labelling()[0])
 
     def canonical_key(self) -> tuple:
-        return self.canonical_form().form_key()
+        """The isomorphism-class key: the :meth:`form_key` of the canonical
+        form, read off :meth:`canonical_labelling` without relabelling."""
+        return (self.signature.symbols, self.size, self.canonical_labelling()[1])
 
     def form_key(self) -> tuple:
         """The isomorphism-class key of a structure already in canonical
@@ -590,7 +621,9 @@ def glue(
 
 MAX_ENUMERATION_SIZE = 8
 """The largest size ``enumerate_structures`` accepts: canonical forms
-score n! relabellings."""
+score all n! relabellings at once, from a lane table of about
+``n! * n**arity`` bits per relation (21 MB for one binary relation at 8
+points; see :data:`MAX_LANE_TABLE_BYTES`)."""
 
 
 def enumerate_structures(
@@ -604,7 +637,7 @@ def enumerate_structures(
     ``extension_choices(structure, name)`` and ``admits_extension(child)``
     (see ``classes.ClassSpec``).  Structures are generated by one-point
     extension of the canonical members one size down, which is complete
-    because membership is hereditary, and deduplicated by canonical form.
+    because membership is hereditary, and deduplicated by canonical key.
     The extension choices already keep every relation's properties, so a
     child is admitted by ``admits_extension`` alone.  Each child built
     counts as a node against ``budget``; a choice that breaks a property
@@ -613,14 +646,30 @@ def enumerate_structures(
     """
     if size < 0:
         raise ValueError(f"size {size} < 0")
+    if size == 0:
+        empty = FiniteStructure.build(spec.signature, 0)
+        return [empty] if spec.admits(empty) else []
+    return list(_layers(spec, size, budget))[-1]
+
+
+def enumerate_structures_upto(
+    spec, bound: int, budget: int | None = None
+) -> list[FiniteStructure]:
+    """Members of every size from 1 through ``bound``, up to isomorphism,
+    by size and within a size as :func:`enumerate_structures` orders
+    them.  One pass builds every layer once; ``budget`` counts the nodes
+    of that pass, as ``enumerate_structures(spec, bound)`` counts them."""
+    return [member for layer in _layers(spec, bound, budget) for member in layer]
+
+
+def _layers(spec, size: int, budget: int | None) -> Iterator[list[FiniteStructure]]:
+    """The sorted canonical members of sizes 1 through ``size``, one list
+    per size, each built from the one before."""
     if size > MAX_ENUMERATION_SIZE:
         raise BoundExceeded(
             f"enumeration up to iso at size {size} exceeds guard {MAX_ENUMERATION_SIZE}"
         )
-    empty = FiniteStructure.build(spec.signature, 0)
-    if size == 0:
-        return [empty] if spec.admits(empty) else []
-    layer = [empty]
+    layer = [FiniteStructure.build(spec.signature, 0)]
     nodes = 0
     for _ in range(size):
         seen: dict[tuple, FiniteStructure] = {}
@@ -631,20 +680,11 @@ def enumerate_structures(
                     raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
                 if not spec.admits_extension(child):
                     continue
-                form = child.canonical_form()
-                seen.setdefault(form.form_key(), form)
+                perm, codes = child.canonical_labelling()
+                if codes not in seen:
+                    seen[codes] = child.relabel(perm)
         layer = [seen[k] for k in sorted(seen)]
-    return layer
-
-
-def enumerate_structures_upto(
-    spec, bound: int, budget: int | None = None
-) -> list[FiniteStructure]:
-    """Members of every size from 1 through ``bound``, up to isomorphism."""
-    out = []
-    for size in range(1, bound + 1):
-        out.extend(enumerate_structures(spec, size, budget=budget))
-    return out
+        yield layer
 
 
 def one_point_extensions(

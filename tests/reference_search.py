@@ -17,6 +17,11 @@ it with a budget given to the fast search.
 was before permutations were scored without building them: relabel by
 every permutation, encode, keep the first least encoding.
 
+``reference_arm_key`` is ``classes._arm_key`` before the encodings of all
+relabellings were read off one lane table: it tries every order of the
+arm's private points, after its base image in the arm's order, and keeps
+the least encoding.
+
 ``reference_verify_amalgamation`` is the amalgamation check before it
 decided one diagram per isomorphism type: it runs the amalgam search on
 every instance, and every amalgam candidate ends with a full ``admits``.
@@ -171,6 +176,23 @@ def reference_canonical_form(structure):
         if best_key is None or key < best_key:
             best, best_key = candidate, key
     return best
+
+
+def reference_arm_key(b, f):
+    """B's size and the least ``encode()`` of B relabelled with f's image
+    first, in f's order, over every order of its private points."""
+    n, k = b.size, len(f)
+    private = [v for v in range(n) if v not in f]
+    perm = [0] * n
+    for i, v in enumerate(f):
+        perm[v] = i
+
+    def code(labels):
+        for v, label in zip(private, labels):
+            perm[v] = label
+        return b.relabel(perm).encode()
+
+    return n, min(map(code, itertools.permutations(range(k, n))))
 
 
 def reference_verify_amalgamation(spec, bound, axiom):

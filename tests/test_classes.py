@@ -34,6 +34,7 @@ from fraisse.structures import (
     one_point_extensions,
 )
 from reference_search import (
+    reference_arm_key,
     reference_extensions,
     reference_fill_relation,
     reference_verify_amalgamation,
@@ -458,6 +459,31 @@ def test_arm_keys_are_isomorphism_types_over_the_base(expr):
         keys = [_arm_key(b, f) for b, f in arms]
         for (arm0, key0), (arm1, key1) in itertools.combinations(zip(arms, keys), 2):
             assert (key0 == key1) == _isomorphic_over_base(*arm0, *arm1)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [builtin(name) for name in BUILTIN_NAMES]
+    + [
+        superpose(builtin(a), builtin(b))
+        for a, b in itertools.combinations_with_replacement(BUILTIN_NAMES, 2)
+    ],
+    ids=lambda spec: spec.name,
+)
+def test_arm_keys_match_the_relabelling_oracle(spec):
+    """Over each base, two arms get equal keys exactly when the oracle's
+    keys are equal."""
+    members = spec.members_upto(3)
+    for base in [spec.empty_structure(), *members]:
+        arms = [
+            (b, emb.mapping)
+            for b in members
+            if b.size >= base.size
+            for emb in find_embeddings(base, b)
+        ]
+        keys = [_arm_key(b, f) for b, f in arms]
+        oracle = [reference_arm_key(b, f) for b, f in arms]
+        assert len(set(keys)) == len(set(oracle)) == len(set(zip(keys, oracle)))
 
 
 def test_amalgam_search_runs_once_per_diagram_type(monkeypatch):

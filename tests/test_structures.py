@@ -1,15 +1,27 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_search import reference_canonical_form
 
+from fraisse import structures
 from fraisse.classes import builtin, check_self_similarity, parse_class_expr
-from fraisse.errors import NotAnEmbedding, NotBijective, OutOfRange
+from fraisse.errors import (
+    BoundExceeded,
+    BudgetExceeded,
+    NotAnEmbedding,
+    NotBijective,
+    OutOfRange,
+)
 from fraisse.structures import (
+    MAX_ENUMERATION_SIZE,
     Embedding,
     FiniteStructure,
     Signature,
@@ -17,6 +29,7 @@ from fraisse.structures import (
     enumerate_structures_upto,
     find_embeddings,
     glue,
+    one_point_extensions,
 )
 
 GRAPH = Signature((("E", 2),))
@@ -168,9 +181,9 @@ def test_enumerate_upto_sizes():
 def test_enumeration_computes_one_canonical_form_per_admitted_child(monkeypatch):
     spec = builtin("G")
     admitted = 0
-    forms = 0
+    labellings = 0
     admits_extension = type(spec).admits_extension
-    canonical_form = FiniteStructure.canonical_form
+    canonical_labelling = FiniteStructure.canonical_labelling
 
     def counting_admits(self, structure):
         nonlocal admitted
@@ -178,16 +191,78 @@ def test_enumeration_computes_one_canonical_form_per_admitted_child(monkeypatch)
         admitted += ok
         return ok
 
-    def counting_form(self):
-        nonlocal forms
-        forms += 1
-        return canonical_form(self)
+    def counting_labelling(self):
+        nonlocal labellings
+        labellings += 1
+        return canonical_labelling(self)
 
     monkeypatch.setattr(type(spec), "admits_extension", counting_admits)
-    monkeypatch.setattr(FiniteStructure, "canonical_form", counting_form)
+    monkeypatch.setattr(FiniteStructure, "canonical_labelling", counting_labelling)
     members = enumerate_structures(spec, 4)
     assert len(members) == 11
-    assert forms == admitted
+    assert labellings == admitted
+
+
+def _enumeration_nodes(spec, bound):
+    """The children one pass builds to enumerate sizes 1 through bound."""
+    layers = [[spec.empty_structure()]]
+    layers += [enumerate_structures(spec, size) for size in range(1, bound)]
+    return sum(
+        1
+        for layer in layers
+        for parent in layer
+        for _ in one_point_extensions(spec, parent)
+    )
+
+
+@pytest.mark.parametrize("expr, bound", [("G", 4), ("E^2", 3), ("LO*G", 3), ("H3", 4)])
+def test_enumerate_upto_matches_per_size_calls(expr, bound):
+    spec = parse_class_expr(expr)
+    per_size = [
+        member for size in range(1, bound + 1) for member in enumerate_structures(spec, size)
+    ]
+    assert enumerate_structures_upto(spec, bound) == per_size
+    nodes = _enumeration_nodes(spec, bound)
+    assert enumerate_structures_upto(spec, bound, budget=nodes) == per_size
+    last = enumerate_structures(spec, bound)
+    assert enumerate_structures(spec, bound, budget=nodes) == last
+    with pytest.raises(BudgetExceeded):
+        enumerate_structures_upto(spec, bound, budget=nodes - 1)
+    with pytest.raises(BudgetExceeded):
+        enumerate_structures(spec, bound, budget=nodes - 1)
+
+
+def test_enumerate_upto_checks_the_size_guard_first():
+    with pytest.raises(BoundExceeded):
+        enumerate_structures_upto(builtin("G"), MAX_ENUMERATION_SIZE + 1)
+    assert enumerate_structures_upto(builtin("G"), 0) == []
+
+
+def test_canonical_form_refuses_an_oversized_lane_table():
+    # one ternary relation on 8 points would need 1.3 GB of lanes
+    hypergraph = FiniteStructure.build(Signature((("R", 3),)), 8, {"R": {(0, 1, 2)}})
+    with pytest.raises(BoundExceeded):
+        hypergraph.canonical_form()
+
+
+def test_import_builds_no_lane_table():
+    """The lane table is built on first use, never at import time."""
+    src = str(Path(structures.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import fraisse, fraisse.cli; "
+            "print(fraisse.structures._lane_table.cache_info().currsize)",
+        ],
+        capture_output=True,
+        env=env,
+        timeout=60,
+        check=True,
+    )
+    assert child.stdout.decode().strip() == "0"
 
 
 # sha256 of the newline-joined ``dumps()`` of enumerate_structures(spec, n),
@@ -248,9 +323,9 @@ SIGNATURES = [
 
 @st.composite
 def random_structures(draw):
-    """Any relations on 0-5 points, loops and repeated entries included."""
+    """Any relations on 0-6 points, loops and repeated entries included."""
     signature = draw(st.sampled_from(SIGNATURES))
-    n = draw(st.integers(min_value=0, max_value=5))
+    n = draw(st.integers(min_value=0, max_value=6))
     tables = {}
     for name, arity in signature.symbols:
         tuples = list(itertools.product(range(n), repeat=arity))
@@ -266,6 +341,7 @@ def test_canonical_form_matches_brute_force(structure):
     got = structure.canonical_form()
     assert got == expected
     assert got.form_key() == expected.form_key()
+    assert structure.canonical_key() == expected.form_key()
 
 
 # -- trusted construction ---------------------------------------------------------------
@@ -293,8 +369,8 @@ def test_enumeration_validates_only_its_seed(monkeypatch):
 def test_self_similarity_validates_only_its_seeds(monkeypatch):
     calls = _count_validations(monkeypatch)
     assert check_self_similarity(parse_class_expr("LO^2"), 3)
-    # one empty seed per enumerated size
-    assert calls == [0, 0, 0]
+    # one empty seed: the members up to the bound come from one pass
+    assert calls == [0]
 
 
 @pytest.mark.parametrize(
