@@ -739,32 +739,20 @@ def check_fully_relational(
     if arity < 1:
         raise ValueError(f"arity {arity} < 1")
     rels = [n for n, a in spec.signature.symbols if a == arity]
-    members = spec.members_upto(witness_bound)
-    witnesses = {}
+    realized = {
+        tuple(member.holds(r, tup) for r in rels)
+        for member in spec.members_upto(witness_bound)
+        for tup in itertools.permutations(range(member.size), arity)
+    }
     for pattern in itertools.product((False, True), repeat=len(rels)):
-        want = dict(zip(rels, pattern))
-        found = None
-        for member in members:
-            if member.size < arity:
-                continue
-            for tup in itertools.permutations(range(member.size), arity):
-                if all(member.holds(r, tup) == want[r] for r in rels):
-                    found = (member, tup)
-                    break
-            if found:
-                break
-        if found is None:
+        if pattern not in realized:
             return VerificationReport.refuted(
                 "fully-relational",
-                {"pattern": {r: want[r] for r in rels}},
+                {"pattern": dict(zip(rels, pattern))},
                 bound=witness_bound,
             )
-        witnesses[str(pattern)] = {
-            "member": found[0].to_json(),
-            "tuple": list(found[1]),
-        }
     return VerificationReport.verified_up_to(
-        "fully-relational", witness_bound, patterns=len(witnesses)
+        "fully-relational", witness_bound, patterns=2 ** len(rels)
     )
 
 
@@ -779,6 +767,21 @@ class PairType:
 
     signature: Signature
     atoms: frozenset[tuple[str, tuple[int, int]]]
+
+    @classmethod
+    def of(cls, structure: FiniteStructure, a: int, b: int) -> "PairType":
+        """The type of ``(a, b)`` in a binary structure, by extension: the
+        1-type of a over no point, then the 1-type of b over a."""
+        atoms = frozenset(
+            (name, tup)
+            for name, over_none, over_a in zip(
+                structure.signature.names,
+                one_type(structure, (), a),
+                one_type(structure, (a,), b),
+            )
+            for tup in over_none | over_a
+        )
+        return cls(structure.signature, atoms)
 
     def holds(self, name: str, i: int, j: int) -> bool:
         return (name, (i, j)) in self.atoms
@@ -804,12 +807,6 @@ class PairType:
             for j in (0, 1)
         )
 
-    def realization(self) -> FiniteStructure:
-        tables: dict[str, set] = {n: set() for n in self.signature.names}
-        for name, (i, j) in self.atoms:
-            tables[name].add((i, j))
-        return FiniteStructure.build(self.signature, 2, tables)
-
     def to_json(self) -> dict:
         return {
             "atoms": sorted(
@@ -825,14 +822,15 @@ def enumerate_pair_types(spec: ClassSpec) -> list[PairType]:
         raise NonBinarySignature(
             f"pair types need a binary signature, got {spec.signature.symbols}"
         )
-    names = list(spec.signature.names)
-    cells = [(name, (i, j)) for name in names for i in (0, 1) for j in (0, 1)]
-    out = []
-    for mask in itertools.product((False, True), repeat=len(cells)):
-        atoms = frozenset(c for c, keep in zip(cells, mask) if keep)
-        candidate = PairType(spec.signature, atoms)
-        if spec.admits(candidate.realization()):
-            out.append(candidate)
+    # every 2-point member, as the admitted one-point extensions of the
+    # admitted one-point members: membership is hereditary
+    out = [
+        PairType.of(pair, 0, 1)
+        for _, point in one_point_extensions(spec, spec.empty_structure())
+        if spec.admits_extension(point)
+        for _, pair in one_point_extensions(spec, point)
+        if spec.admits_extension(pair)
+    ]
     out.sort(key=PairType.sort_key)
     return out
 
@@ -859,42 +857,37 @@ def check_self_similarity(
         raise ValueError(f"bound {bound} < 2")
     nodes = 0
     for c_struct in spec.members_upto(bound, budget=budget):
-        # C's one-point extensions inside the class, shared by every
-        # (A, p, S, tau) over C
-        extensions = [
-            e
-            for _, e in one_point_extensions(spec, c_struct)
-            if spec.admits_extension(e)
+        n = c_struct.size
+        # the points that may realize a type over parts of C: its own, then
+        # the fresh point of each of C's one-point extensions in the class
+        candidates = [(c_struct, v) for v in range(n)] + [
+            (e, n) for _, e in one_point_extensions(spec, c_struct) if spec.admits_extension(e)
         ]
-        for a_subset in _subsets(c_struct.size):
+        for a_subset in _subsets(n):
             a_points = list(a_subset)
             a_struct = c_struct.induced_substructure(a_points)
+            over_a = [(x, v, one_type(x, a_points, v)) for x, v in candidates if v not in a_subset]
             for p_atoms in consistent_one_types(spec, a_struct):
-                realizers = [
-                    v
-                    for v in range(c_struct.size)
-                    if v not in a_subset
-                    and point_realizes(c_struct, a_points, v, p_atoms)
-                ]
+                realizing = [(x, v) for x, v, key in over_a if key == p_atoms]
+                realizers = [v for _, v in realizing if v < n]
                 for s_tuple in _image_tuples(realizers, bound - 1):
                     induced = c_struct.induced_substructure(s_tuple)
+                    met = {one_type(x, s_tuple, v) for x, v in realizing if v not in s_tuple}
                     for tau in consistent_one_types(spec, induced):
                         nodes += 1
                         if budget is not None and nodes > budget:
                             raise BudgetExceeded(
                                 f"self-similarity search exceeded {budget} nodes"
                             )
-                        if not _extension_exists(
-                            c_struct, extensions, a_points, p_atoms, s_tuple, tau
-                        ):
+                        if tau not in met:
                             return VerificationReport.refuted(
                                 "self-similarity",
                                 {
                                     "C": c_struct,
                                     "A": a_points,
-                                    "p": _atoms_json(p_atoms),
+                                    "p": _atoms_json(c_struct.signature, p_atoms),
                                     "S": list(s_tuple),
-                                    "tau": _atoms_json(tau),
+                                    "tau": _atoms_json(c_struct.signature, tau),
                                 },
                                 bound=bound,
                             )
@@ -912,52 +905,49 @@ def _image_tuples(realizers: list[int], max_size: int):
 
 
 def consistent_one_types(spec: ClassSpec, anchor: FiniteStructure):
-    """All atom assignments between a fresh point and the points of
-    ``anchor``, a member of the class, whose one-point extension stays in
-    the class, over the anchor's indexing (the fresh point is
-    ``anchor.size``)."""
+    """The 1-types over ``anchor``, a member of the class, whose one-point
+    extension stays in the class, keyed as :func:`one_type` keys them over
+    the anchor's indexing (the fresh point is ``anchor.size``)."""
     for assignment, extended in one_point_extensions(spec, anchor):
         if spec.admits_extension(extended):
             yield assignment
 
 
-def point_realizes(
-    structure: FiniteStructure, points: Sequence[int], v: int, atoms: dict
-) -> bool:
-    """Does ``v`` relate to ``points`` exactly as the assignment's fresh
-    point (index len(points)) does?"""
-    k = len(points)
-    to_model = {i: p for i, p in enumerate(points)}
-    to_model[k] = v
+def one_type(
+    structure: FiniteStructure, points: Sequence[int], v: int
+) -> tuple[frozenset[tuple[int, ...]], ...]:
+    """The quantifier-free 1-type of ``v`` over the tuple ``points``, as a
+    hashable key (Hodges, *Model Theory*, CUP 1993, §7.1).
+
+    Per relation, in signature order: the tuples of
+    ``all_extension_tuples(len(points), arity)`` that hold when index i
+    reads ``points[i]`` and the last index reads ``v``.  This is the key
+    :func:`consistent_one_types` yields, so a point realizes a type
+    exactly when its key equals the type.
+    """
+    image = (*points, v)
+    key = []
     for name, arity in structure.signature.symbols:
-        decided = atoms[name]
-        for tup in all_extension_tuples(k, arity):
-            image = tuple(to_model[x] for x in tup)
-            if structure.holds(name, image) != (tup in decided):
-                return False
-    return True
+        table = structure.relations[name]
+        tuples = all_extension_tuples(len(points), arity)
+        key.append(frozenset([t for t in tuples if tuple([image[x] for x in t]) in table]))
+    return tuple(key)
 
 
-def _extension_exists(c_struct, extensions, a_points, p_atoms, s_tuple, tau) -> bool:
-    """Is p over A and tau over S realized by a point of C outside A and S,
-    or by the fresh point of one of ``extensions``, C's one-point
-    extensions inside the class?"""
+def point_realizes(
+    structure: FiniteStructure, points: Sequence[int], v: int, atoms: tuple
+) -> bool:
+    """Does ``v`` relate to ``points`` exactly as the fresh point of the
+    type ``atoms`` (index len(points)) does?
 
-    def realizes_both(structure, v):
-        return point_realizes(structure, a_points, v, p_atoms) and point_realizes(
-            structure, s_tuple, v, tau
-        )
-
-    # An existing point may already finish the job.
-    taken = set(a_points) | set(s_tuple)
-    if any(realizes_both(c_struct, v) for v in range(c_struct.size) if v not in taken):
-        return True
-    # Otherwise search one-point extensions of C inside the class.
-    return any(realizes_both(extended, c_struct.size) for extended in extensions)
+    The searches compare :func:`one_type` keys directly; this predicate
+    stays because ``perfbench/tracer.py`` names ``limits.point_realizes``
+    as a per-layer target."""
+    return one_type(structure, points, v) == atoms
 
 
-def _atoms_json(atoms) -> dict:
-    return {name: sorted(map(list, tuples)) for name, tuples in atoms.items()}
+def _atoms_json(signature: Signature, atoms) -> dict:
+    return {name: sorted(map(list, tuples)) for name, tuples in zip(signature.names, atoms)}
 
 
 SELF_SIMILARITY_TABLE = {

@@ -378,6 +378,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    if getattr(args, "budget", None) is not None and args.budget < 0:
+        print(f"error: budget {args.budget} < 0", file=sys.stderr)
+        return EXIT_USAGE
     args._t0 = time.time()
     try:
         return args.fn(args)

@@ -559,6 +559,8 @@ def verify_configuration(
         )
     if size_bound < 1:
         raise ValueError(f"size bound {size_bound} < 1")
+    if jobs < 1:
+        raise ValueError(f"jobs {jobs} < 1")
     structures = enumerate_structures_upto(interp.index_spec, size_bound)
     witnesses: list = [None] * len(structures)
     searched = list(range(len(structures)))

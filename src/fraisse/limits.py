@@ -34,10 +34,12 @@ from dataclasses import dataclass, field
 from . import kernels
 from .classes import (
     ClassSpec,
+    _atoms_json,
     builtin,
     consistent_one_types,
+    one_type,
     parse_class_expr,
-    point_realizes,
+    point_realizes,  # noqa: F401  (a named per-layer target of perfbench/tracer.py)
     power,
     verify_class_axioms,
 )
@@ -217,15 +219,15 @@ def order_box_embedding(structure: FiniteStructure, model: GenericModel) -> list
 def _unrealized_types(spec: ClassSpec, structure: FiniteStructure, subset: list[int]):
     """The class-consistent 1-types over ``subset`` that no point of the
     structure outside the subset realizes, in ``consistent_one_types``
-    order."""
-    anchor = structure.induced_substructure(subset)
-    for atoms in consistent_one_types(spec, anchor):
-        if not any(
-            point_realizes(structure, subset, v, atoms)
-            for v in range(structure.size)
-            if v not in subset
-        ):
-            yield atoms
+    order.  The scan of the points stops once every type is realized."""
+    types = list(consistent_one_types(spec, structure.induced_substructure(subset)))
+    missing = set(types)
+    for v in range(structure.size):
+        if not missing:
+            break
+        if v not in subset:
+            missing.discard(one_type(structure, subset, v))
+    yield from (atoms for atoms in types if atoms in missing)
 
 
 # -- extension-property certification ------------------------------------------
@@ -272,7 +274,7 @@ def check_extension_property(model: GenericModel, level: int) -> VerificationRep
                     "extension-property",
                     {
                         "subset": list(subset),
-                        "type": {n: sorted(map(list, t)) for n, t in atoms.items()},
+                        "type": _atoms_json(structure.signature, atoms),
                     },
                     bound=level,
                 )
@@ -418,8 +420,8 @@ def _add_witness(spec, structure, subset, atoms):
     translate = {i: p for i, p in enumerate(subset)}
     translate[len(subset)] = n
     forced = {
-        name: {tuple(translate[x] for x in tup) for tup in atoms[name]}
-        for name in names
+        name: {tuple(translate[x] for x in tup) for tup in tups}
+        for name, tups in zip(names, atoms)
     }
 
     order = sorted(others, key=lambda u: _hash_bits(u, n, salt=1))

@@ -112,8 +112,8 @@ def power_pair_types(K: ClassSpec, m: int) -> list[PairType]:
 
     Relations of different factors never interact, so the types of the
     power are exactly the m-fold products of the base types; composing
-    them avoids enumerating all 2^(4 * relations) atom masks.  The result
-    is sorted like ``enumerate_pair_types`` output."""
+    them avoids extending every 2-point member of the power one point at a
+    time.  The result is sorted like ``enumerate_pair_types`` output."""
     base = enumerate_pair_types(K)
     spec = power(K, m)
     out = []
@@ -134,17 +134,6 @@ def _relation_properties(spec: ClassSpec) -> frozenset:
             f"the construction needs one binary relation, got {spec.signature.symbols}"
         )
     return spec.constraints[0][1]
-
-
-def _qf_pair_type(structure: FiniteStructure, a: int, b: int) -> PairType:
-    points = (a, b)
-    atoms = set()
-    for name in structure.signature.names:
-        for i in (0, 1):
-            for j in (0, 1):
-                if structure.holds(name, (points[i], points[j])):
-                    atoms.add((name, (i, j)))
-    return PairType(structure.signature, frozenset(atoms))
 
 
 class QuadConstruction:
@@ -285,7 +274,7 @@ class QuadConstruction:
                 edges.add((a * n + i, a * n + j))
         for a in range(structure.size):
             for b in range(a + 1, structure.size):
-                code = self.h[_qf_pair_type(structure, a, b)][0]
+                code = self.h[PairType.of(structure, a, b)][0]
                 for i, j in code.edges:
                     edges.add((a * n + i, b * n + j))
                     edges.add((b * n + j, a * n + i))

@@ -689,29 +689,31 @@ def _layers(spec, size: int, budget: int | None) -> Iterator[list[FiniteStructur
 
 def one_point_extensions(
     spec, parent: FiniteStructure
-) -> Iterator[tuple[dict[str, frozenset], FiniteStructure]]:
+) -> Iterator[tuple[tuple[frozenset, ...], FiniteStructure]]:
     """Extend ``parent`` by one fresh point (index ``parent.size``) in
     every way offered by the spec's ``extension_choices``.
 
-    Yields ``(assignment, child)``: the new tuples per relation, and the
-    padded parent carrying them.  Only the relations' properties are
+    Yields ``(assignment, child)``: the new tuples of each relation, in
+    signature order, and the padded parent carrying them.  The assignment
+    is the fresh point's type over the parent, keyed as
+    ``classes.one_type`` keys it.  Only the relations' properties are
     ensured; the caller tests the rest of membership.
     """
     base = parent.disjoint_union_universe(1)
     names = list(spec.signature.names)
     choice_lists = [list(spec.extension_choices(parent, name)) for name in names]
-    for combo in itertools.product(*choice_lists):
-        assignment = dict(zip(names, combo))
+    for assignment in itertools.product(*choice_lists):
         yield assignment, base.with_relations(
-            {name: base.relations[name] | assignment[name] for name in names}
+            {name: base.relations[name] | new for name, new in zip(names, assignment)}
         )
 
 
-def all_extension_tuples(size: int, arity: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def all_extension_tuples(size: int, arity: int) -> tuple[tuple[int, ...], ...]:
     """All arity-tuples over ``size+1`` points that mention the new point
     ``size``."""
-    return [
+    return tuple(
         t
         for t in itertools.product(range(size + 1), repeat=arity)
         if size in t
-    ]
+    )

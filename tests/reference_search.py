@@ -35,17 +35,37 @@ keeps the members.
 relation was completed by construction: a guess tailored to the declared
 properties, then exhaustive search over the orbit-respecting assignments
 of the free tuples.
+
+``reference_point_realizes``, ``reference_pair_types`` and
+``reference_check_self_similarity`` are the 1-type code before types were
+keyed by ``classes.one_type``: a walk of the extension tuples for every
+(point, type) pair, a full ``admits`` on every 2-point atom mask, and the
+self-similarity loop that walked those tuples again for every (A, p, S,
+tau) and every candidate point.  Types are passed as dicts from relation
+name to tuples, as that code took them.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from fraisse.classes import _free_assignments, _mixed_tuples, check_relation_property
+from fraisse.classes import (
+    PairType,
+    _free_assignments,
+    _mixed_tuples,
+    check_relation_property,
+    consistent_one_types,
+)
 from fraisse.config import And, Atom, Const, Coord, Eq, Not, Or, formula_refs
-from fraisse.errors import BudgetExceeded, SignatureMismatch
+from fraisse.errors import BudgetExceeded, NonBinarySignature, SignatureMismatch
 from fraisse.report import VerificationReport
-from fraisse.structures import Embedding, all_extension_tuples, find_embeddings
+from fraisse.structures import (
+    Embedding,
+    FiniteStructure,
+    all_extension_tuples,
+    find_embeddings,
+    one_point_extensions,
+)
 
 
 def reference_evaluate(formula, target, tuples, params):
@@ -368,3 +388,104 @@ def _reference_choices(spec, parent, name):
                 continue
         open_tuples.append(tup)
     return [frozenset(forced) | chosen for chosen in _free_assignments(open_tuples, props)]
+
+
+def reference_point_realizes(structure, points, v, atoms):
+    """Does ``v`` relate to ``points`` exactly as the fresh point (index
+    len(points)) of the type ``atoms``, a dict from relation name to
+    tuples, does?"""
+    k = len(points)
+    to_model = {i: p for i, p in enumerate(points)}
+    to_model[k] = v
+    for name, arity in structure.signature.symbols:
+        decided = atoms[name]
+        for tup in all_extension_tuples(k, arity):
+            image = tuple(to_model[x] for x in tup)
+            if structure.holds(name, image) != (tup in decided):
+                return False
+    return True
+
+
+def reference_pair_types(spec):
+    """The pair types of a binary class: every atom mask over two points
+    whose structure the class admits, sorted by ``PairType.sort_key``."""
+    if not spec.is_binary():
+        raise NonBinarySignature(
+            f"pair types need a binary signature, got {spec.signature.symbols}"
+        )
+    cells = [(name, (i, j)) for name in spec.signature.names for i in (0, 1) for j in (0, 1)]
+    out = []
+    for mask in itertools.product((False, True), repeat=len(cells)):
+        atoms = frozenset(c for c, keep in zip(cells, mask) if keep)
+        tables = {name: set() for name in spec.signature.names}
+        for name, cell in atoms:
+            tables[name].add(cell)
+        if spec.admits(FiniteStructure.build(spec.signature, 2, tables)):
+            out.append(PairType(spec.signature, atoms))
+    out.sort(key=PairType.sort_key)
+    return out
+
+
+def _reference_types(spec, anchor):
+    names = spec.signature.names
+    return [dict(zip(names, key)) for key in consistent_one_types(spec, anchor)]
+
+
+def _reference_atoms_json(atoms):
+    return {name: sorted(map(list, tuples)) for name, tuples in atoms.items()}
+
+
+def reference_check_self_similarity(spec, bound, budget=None):
+    """``(report, nodes)``: the self-similarity check with every (A, p, S,
+    tau) tested by walking the tuples of each candidate point."""
+    nodes = 0
+    for c_struct in spec.members_upto(bound, budget=budget):
+        extensions = [
+            e for _, e in one_point_extensions(spec, c_struct) if spec.admits_extension(e)
+        ]
+        for size in range(c_struct.size + 1):
+            for a_subset in itertools.combinations(range(c_struct.size), size):
+                a_points = list(a_subset)
+                a_struct = c_struct.induced_substructure(a_points)
+                for p_atoms in _reference_types(spec, a_struct):
+                    realizers = [
+                        v
+                        for v in range(c_struct.size)
+                        if v not in a_subset
+                        and reference_point_realizes(c_struct, a_points, v, p_atoms)
+                    ]
+                    for s_size in range(min(len(realizers), bound - 1) + 1):
+                        for s_tuple in itertools.permutations(realizers, s_size):
+                            induced = c_struct.induced_substructure(s_tuple)
+                            for tau in _reference_types(spec, induced):
+                                nodes += 1
+                                if budget is not None and nodes > budget:
+                                    raise BudgetExceeded(
+                                        f"self-similarity search exceeded {budget} nodes"
+                                    )
+
+                                def realizes_both(structure, v):
+                                    return reference_point_realizes(
+                                        structure, a_points, v, p_atoms
+                                    ) and reference_point_realizes(structure, s_tuple, v, tau)
+
+                                taken = set(a_points) | set(s_tuple)
+                                if any(
+                                    realizes_both(c_struct, v)
+                                    for v in range(c_struct.size)
+                                    if v not in taken
+                                ) or any(realizes_both(e, c_struct.size) for e in extensions):
+                                    continue
+                                report = VerificationReport.refuted(
+                                    "self-similarity",
+                                    {
+                                        "C": c_struct,
+                                        "A": a_points,
+                                        "p": _reference_atoms_json(p_atoms),
+                                        "S": list(s_tuple),
+                                        "tau": _reference_atoms_json(tau),
+                                    },
+                                    bound=bound,
+                                )
+                                return report, nodes
+    return VerificationReport.verified_up_to("self-similarity", bound), nodes

@@ -17,15 +17,23 @@ from fraisse.classes import (
     check_property_preservation,
     check_relation_property,
     check_self_similarity,
+    consistent_one_types,
     enumerate_pair_types,
+    one_type,
     parse_class_expr,
+    point_realizes,
     power,
     superpose,
     verify_class_axioms,
 )
 from fraisse import classes
 from fraisse.classes import _amalgam_candidate, _arm_key, _fill_relation, _find_amalgam
-from fraisse.errors import TransitivityOnNonBinary, UnknownRelation
+from fraisse.errors import (
+    BudgetExceeded,
+    NonBinarySignature,
+    TransitivityOnNonBinary,
+    UnknownRelation,
+)
 from fraisse.structures import (
     FiniteStructure,
     Signature,
@@ -35,8 +43,11 @@ from fraisse.structures import (
 )
 from reference_search import (
     reference_arm_key,
+    reference_check_self_similarity,
     reference_extensions,
     reference_fill_relation,
+    reference_pair_types,
+    reference_point_realizes,
     reference_verify_amalgamation,
 )
 
@@ -640,6 +651,56 @@ def test_fully_relational(expr):
     assert check_fully_relational(parse_class_expr(expr), 2, 2)
 
 
+def test_fully_relational_refutes_with_the_first_missing_pattern():
+    """E#1 is an edgeless graph, so (False, True) is the first pattern in
+    ``itertools.product`` order that no pair realizes."""
+    edgeless = MembershipPredicate(lambda s: not s.relations["E"], ("E",), ("E",), "edgeless")
+    g = builtin("G")
+    spec = superpose(g, ClassSpec("N", g.signature, g.constraints, (edgeless,)))
+    report = check_fully_relational(spec, 2, 3)
+    assert report.status == "refuted"
+    assert report.witness == {"pattern": {"E#0": False, "E#1": True}}
+
+
+# -- 1-types as keys -----------------------------------------------------------------------
+
+
+def _builtins_and_superpositions():
+    for name in BUILTIN_NAMES:
+        yield name, builtin(name)
+    for a, b in itertools.combinations_with_replacement(BUILTIN_NAMES, 2):
+        yield f"{a}*{b}", superpose(builtin(a), builtin(b))
+
+
+BUILTINS_AND_SUPERPOSITIONS = dict(_builtins_and_superpositions())
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS_AND_SUPERPOSITIONS))
+def test_one_type_keys_agree_with_the_tuple_walk(name):
+    """Key equality decides realization exactly as the tuple walk did, for
+    every subset, point outside it and consistent type of the members up
+    to 4 points (3 for superpositions with H3: at 4 the walk takes a
+    minute); and an extension's assignment is its fresh point's key."""
+    spec = BUILTINS_AND_SUPERPOSITIONS[name]
+    bound = 3 if "*" in name and "H3" in name else 4
+    names = spec.signature.names
+    for member in spec.members_upto(bound):
+        for size in range(member.size + 1):
+            for subset in itertools.combinations(range(member.size), size):
+                anchor = member.induced_substructure(subset)
+                outside = [v for v in range(member.size) if v not in subset]
+                keys = [one_type(member, subset, v) for v in outside]
+                for tau in consistent_one_types(spec, anchor):
+                    atoms = dict(zip(names, tau))
+                    for v, key in zip(outside, keys):
+                        assert (key == tau) == reference_point_realizes(member, subset, v, atoms)
+    for parent in [spec.empty_structure(), *spec.members_upto(bound - 1)]:
+        n = parent.size
+        for assignment, child in one_point_extensions(spec, parent):
+            assert one_type(child, range(n), n) == assignment
+            assert point_realizes(child, range(n), n, assignment)
+
+
 # -- pair types ------------------------------------------------------------------------------
 
 
@@ -655,6 +716,29 @@ def test_pair_types_of_powers_are_2_to_m(name, m):
     from fraisse.ranks import power_pair_types
 
     assert len(power_pair_types(builtin(name), m)) == 2**m
+
+
+def _pair_type_classes():
+    yield from _builtins_and_superpositions()
+    for name in BUILTIN_NAMES:
+        yield f"{name}^3", power(builtin(name), 3)
+    yield "matching", matching_class()
+    yield "T-few-4", few_out_degree_4()
+
+
+PAIR_TYPE_CLASSES = dict(_pair_type_classes())
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_TYPE_CLASSES))
+def test_pair_types_match_the_mask_loop(name):
+    spec = PAIR_TYPE_CLASSES[name]
+    if not spec.is_binary():
+        with pytest.raises(NonBinarySignature):
+            reference_pair_types(spec)
+        with pytest.raises(NonBinarySignature):
+            enumerate_pair_types(spec)
+        return
+    assert enumerate_pair_types(spec) == reference_pair_types(spec)
 
 
 def test_star_is_an_involution():
@@ -696,6 +780,20 @@ def test_self_similarity_reports_are_pinned(expr):
     report = check_self_similarity(parse_class_expr(expr), 3)
     digest = hashlib.sha256(report.dumps().encode()).hexdigest()
     assert digest == SELF_SIMILARITY_SHA256[expr]
+
+
+@pytest.mark.parametrize("expr", ["E^2", "T^2", "LO*G", "E*G", "G*T"])
+def test_self_similarity_matches_the_reference(expr):
+    """Same report as the tuple-walking loop, and the budget runs out at
+    the same node: the report needs exactly ``nodes`` of it."""
+    spec = parse_class_expr(expr)
+    expected, nodes = reference_check_self_similarity(spec, 3)
+    assert check_self_similarity(spec, 3, budget=nodes).dumps() == expected.dumps()
+    with pytest.raises(BudgetExceeded) as reference_cap:
+        reference_check_self_similarity(spec, 3, budget=nodes - 1)
+    with pytest.raises(BudgetExceeded) as cap:
+        check_self_similarity(spec, 3, budget=nodes - 1)
+    assert str(cap.value) == str(reference_cap.value)
 
 
 # -- one-point extensions admitted by their new point ----------------------------

@@ -190,6 +190,9 @@ def test_bad_class_expression(capsys):
         ("generic-model", "--class", "G", "--level", "2", "--size-cap", "-1"),
         ("rank", "--class", "G", "--n", "0"),
         ("rank", "--class", "G", "--n", "-1"),
+        ("self-sim", "--class", "G", "--budget", "-5"),
+        ("enumerate", "--class", "G", "--n", "2", "--budget", "-1"),
+        ("check-class", "--class", "G", "--bound", "2", "--budget", "-1"),
     ],
     ids=[
         "enumerate-size",
@@ -198,6 +201,9 @@ def test_bad_class_expression(capsys):
         "generic-model-size-cap",
         "rank-n-zero",
         "rank-n-negative",
+        "self-sim-budget",
+        "enumerate-budget",
+        "check-class-budget",
     ],
 )
 def test_negative_size_or_level_is_usage_error(capsys, argv):
@@ -242,6 +248,18 @@ def test_verify_config_verified(capsys, config_files):
     assert code == 0
     assert data["verdict"] == "verified"
     assert data["recheck"] == "verified"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_verify_config_jobs_below_one_is_usage_error(capsys, config_files, jobs):
+    config_path, target_path = config_files
+    code, out, err = run(
+        capsys, "verify-config", "--config", config_path, "--target", target_path,
+        "--jobs", jobs,
+    )
+    assert code == 3
+    assert out == ""
+    assert err == f"error: jobs {jobs} < 1\n"
 
 
 def test_verify_config_deterministic_and_jobs_equivalent(capsys, tmp_path, graph_model):
