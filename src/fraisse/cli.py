@@ -62,177 +62,109 @@ def _report_exit(status: str) -> int:
     }[status]
 
 
-def _load_model(path: str) -> GenericModel:
+def _load(path: str, cls):
+    """``cls.from_json`` of the JSON file at ``path``.  A file whose shape
+    ``from_json`` cannot read raises ``ValueError`` naming the file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return GenericModel.from_json(json.load(handle))
+        data = json.load(handle)
+    try:
+        return cls.from_json(data)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed {cls.__name__} JSON ({exc!r})") from None
 
 
-def _default_graph_target(level: int = 3, size_cap: int = 200) -> GenericModel:
-    return build_generic_model(builtin("G"), level=level, size_cap=size_cap)
+def _target(path: str | None, level: int = 3) -> GenericModel:
+    """The model file at ``path``, or else the closed level-``level`` graph."""
+    if path:
+        return _load(path, GenericModel)
+    return build_generic_model(builtin("G"), level=level, size_cap=200)
 
 
 # -- subcommands --------------------------------------------------------------------
+#
+# Each takes the parsed arguments and the parsed ``--class`` (None for the
+# commands without one) and returns ``(exit_code, fields)``: the report's
+# own fields, or None once it has printed its one stderr line.
 
 
-def cmd_enumerate(args) -> int:
-    spec = parse_class_expr(args.class_expr)
+def cmd_enumerate(args, spec):
     members = enumerate_structures(spec, args.n, budget=args.budget)
-    _emit(
-        {
-            "command": "enumerate",
-            "version": __version__,
-            "class": spec.name,
-            "n": args.n,
-            "count": len(members),
-            "structures": [m.to_json() for m in members],
-        },
-        args,
-    )
-    return EXIT_VERIFIED
+    return EXIT_VERIFIED, {
+        "n": args.n,
+        "count": len(members),
+        "structures": [m.to_json() for m in members],
+    }
 
 
 AXIOMS = ("hereditary", "joint-embedding", "amalgamation", "strong-amalgamation")
 
 
-def cmd_check_class(args) -> int:
-    spec = parse_class_expr(args.class_expr)
+def cmd_check_class(args, spec):
     axioms = AXIOMS if args.axiom == "all" else (args.axiom,)
-    reports = {}
-    worst = EXIT_VERIFIED
-    for axiom in axioms:
-        report = verify_class_axioms(
+    reports = {
+        axiom: verify_class_axioms(
             spec, args.bound, axiom.replace("-", "_"), budget=args.budget
         )
-        reports[axiom] = report.to_json()
-        worst = max(worst, _report_exit(report.status))
-    _emit(
-        {
-            "command": "check-class",
-            "version": __version__,
-            "class": spec.name,
-            "bound": args.bound,
-            "reports": reports,
-        },
-        args,
-    )
-    return worst
+        for axiom in axioms
+    }
+    return max(_report_exit(r.status) for r in reports.values()), {
+        "bound": args.bound,
+        "reports": {axiom: r.to_json() for axiom, r in reports.items()},
+    }
 
 
-def cmd_self_sim(args) -> int:
-    spec = parse_class_expr(args.class_expr)
+def cmd_self_sim(args, spec):
     report = check_self_similarity(spec, args.bound, budget=args.budget)
-    _emit(
-        {
-            "command": "self-sim",
-            "version": __version__,
-            "class": spec.name,
-            "bound": args.bound,
-            "report": report.to_json(),
-        },
-        args,
-    )
-    return _report_exit(report.status)
+    return _report_exit(report.status), {"bound": args.bound, "report": report.to_json()}
 
 
-def cmd_types(args) -> int:
-    spec = parse_class_expr(args.class_expr)
+def cmd_types(args, spec):
     types = enumerate_pair_types(spec)
-    _emit(
-        {
-            "command": "types",
-            "version": __version__,
-            "class": spec.name,
-            "count": len(types),
-            "types": [t.to_json() for t in types],
-        },
-        args,
-    )
-    return EXIT_VERIFIED
+    return EXIT_VERIFIED, {"count": len(types), "types": [t.to_json() for t in types]}
 
 
-def cmd_generic_model(args) -> int:
-    spec = parse_class_expr(args.class_expr)
+def cmd_generic_model(args, spec):
     model = build_generic_model(spec, level=args.level, size_cap=args.size_cap)
     closed = model.meta.get("closed", True)
-    _emit(
-        {
-            "command": "generic-model",
-            "version": __version__,
-            "class": spec.name,
-            "level": args.level,
-            "closed": closed,
-            "model": model.to_json(),
-        },
-        args,
-    )
-    return EXIT_VERIFIED if closed else EXIT_INCONCLUSIVE
+    return EXIT_VERIFIED if closed else EXIT_INCONCLUSIVE, {
+        "level": args.level,
+        "closed": closed,
+        "model": model.to_json(),
+    }
 
 
-def cmd_verify_config(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as handle:
-        interp = InterpretationMap.from_json(json.load(handle))
-    target = _load_model(args.target)
+def cmd_verify_config(args, spec):
+    interp = _load(args.config, InterpretationMap)
+    target = _load(args.target, GenericModel)
     outcome = verify_configuration(
         interp, target, args.bound, budget=args.budget, jobs=args.jobs
     )
     if isinstance(outcome, ConfigCertificate):
-        recheck = outcome.recheck()
-        _emit(
-            {
-                "command": "verify-config",
-                "version": __version__,
-                "bound": args.bound,
-                "verdict": "verified",
-                "recheck": recheck.status,
-                "certificate": outcome.to_json(),
-            },
-            args,
-        )
-        return EXIT_VERIFIED
-    _emit(
-        {
-            "command": "verify-config",
-            "version": __version__,
+        return EXIT_VERIFIED, {
             "bound": args.bound,
-            "verdict": outcome.status,
-            "report": outcome.to_json(),
-        },
-        args,
-    )
-    return _report_exit(outcome.status)
+            "verdict": "verified",
+            "recheck": outcome.recheck().status,
+            "certificate": outcome.to_json(),
+        }
+    return _report_exit(outcome.status), {
+        "bound": args.bound,
+        "verdict": outcome.status,
+        "report": outcome.to_json(),
+    }
 
 
-def cmd_rank(args) -> int:
-    spec = parse_class_expr(args.class_expr)
-    if args.target:
-        target = _load_model(args.target)
-    else:
-        target = _default_graph_target(level=args.level)
+def cmd_rank(args, spec):
+    target = _target(args.target, level=args.level)
     results = compute_rank_table(spec, args.n, target, bound=args.bound)
-    _emit(
-        {
-            "command": "rank",
-            "version": __version__,
-            "class": spec.name,
-            "bound": args.bound,
-            "results": [
-                r.to_json(include_certificate=args.certificates) for r in results
-            ],
-        },
-        args,
-    )
-    return EXIT_VERIFIED
+    return EXIT_VERIFIED, {
+        "bound": args.bound,
+        "results": [r.to_json(include_certificate=args.certificates) for r in results],
+    }
 
 
-def cmd_ramsey_box(args) -> int:
-    try:
-        bound = box_ramsey_upper_bound(args.k, args.colors, args.m, kind=args.kind)
-    except OverflowError as exc:
-        print(f"cap hit: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    report = {
-        "command": "ramsey-box",
-        "version": __version__,
+def cmd_ramsey_box(args, spec):
+    bound = box_ramsey_upper_bound(args.k, args.colors, args.m, kind=args.kind)
+    fields = {
         "k": args.k,
         "colors": args.colors,
         "m": args.m,
@@ -240,39 +172,29 @@ def cmd_ramsey_box(args) -> int:
         "directions": len(directions(args.k)),
         "bound": bound,
     }
-    code = EXIT_VERIFIED
-    if args.seed is not None:
-        if args.kind != "point":
-            print("--seed demos support kind 'point' only", file=sys.stderr)
-            return EXIT_USAGE
-        if bound > 16:
-            print(f"bound {bound} too large for a coloring demo", file=sys.stderr)
-            return EXIT_USAGE
-        coloring = random_point_coloring(args.k, bound, args.colors, args.seed)
-        witness = find_monochromatic_box(coloring, args.m)
-        report["seed"] = args.seed
-        report["witness"] = witness
-        if witness is None:
-            code = EXIT_REFUTED
-    _emit(report, args)
-    return code
+    if args.seed is None:
+        return EXIT_VERIFIED, fields
+    if args.kind != "point":
+        print("--seed demos support kind 'point' only", file=sys.stderr)
+        return EXIT_USAGE, None
+    if bound > 16:
+        print(f"bound {bound} too large for a coloring demo", file=sys.stderr)
+        return EXIT_USAGE, None
+    coloring = random_point_coloring(args.k, bound, args.colors, args.seed)
+    witness = find_monochromatic_box(coloring, args.m)
+    fields.update(seed=args.seed, witness=witness)
+    return EXIT_REFUTED if witness is None else EXIT_VERIFIED, fields
 
 
-def cmd_dagger(args) -> int:
-    model = _load_model(args.target) if args.target else _default_graph_target()
-    report = verify_dagger_base_case(model=model)
-    _emit(
-        {
-            "command": "dagger",
-            "version": __version__,
-            "pair_types": report.details["a"]["identified_count"],
-            "base_bound": report.details["c"]["lhs"],
-            "claim_checked_to": 10,
-            "report": report.to_json(),
-        },
-        args,
-    )
-    return _report_exit(report.status)
+def cmd_dagger(args, spec):
+    report = verify_dagger_base_case(model=_target(args.target))
+    facts = report.witness or report.details  # a refutation keeps them as its witness
+    return _report_exit(report.status), {
+        "pair_types": facts["a"]["identified_count"],
+        "base_bound": facts["c"]["lhs"],
+        "claim_checked_to": 10,
+        "report": report.to_json(),
+    }
 
 
 # -- argument parsing -----------------------------------------------------------------
@@ -383,14 +305,18 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     args._t0 = time.time()
     try:
-        return args.fn(args)
-    except BudgetExceeded as exc:
+        spec = parse_class_expr(args.class_expr) if "class_expr" in args else None
+        code, fields = args.fn(args, spec)
+        if fields is not None:
+            report = {"command": args.command, "version": __version__, **fields}
+            if spec is not None:
+                report["class"] = spec.name
+            _emit(report, args)
+        return code
+    except (BudgetExceeded, OverflowError) as exc:
         print(f"cap hit: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (FraisseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (FraisseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -43,7 +43,7 @@ from .classes import (
     power,
     verify_class_axioms,
 )
-from .errors import BoundExceeded, NotAmalgamation, NonBinarySignature
+from .errors import BoundExceeded, NotAmalgamation, NonBinarySignature, OutOfRange
 from .report import VerificationReport
 from .structures import FiniteStructure
 
@@ -56,10 +56,6 @@ class GenericModel:
     spec: ClassSpec
     certified_level: int
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.spec.admits(self.structure):
-            raise ValueError("model structure is not a member of its class")
 
     @property
     def size(self) -> int:
@@ -80,6 +76,8 @@ class GenericModel:
                 raise ValueError(f"model JSON has no {key!r} key")
         structure = FiniteStructure.from_json(data)
         spec = parse_class_expr(data["spec"])
+        if not spec.admits(structure):
+            raise ValueError("model structure is not a member of its class")
         return cls(
             structure, spec, int(data["certified_level"]), data.get("meta", {})
         )
@@ -95,16 +93,18 @@ class GenericModel:
 # -- grids: box models and pattern carriers --------------------------------------
 
 
-def _pair_tuples(size: int) -> list[list[tuple[int, int]]]:
+def _pair_tuples(size: int, spec: ClassSpec) -> list[list[tuple[int, int]]]:
     """``pairs[a][b] == (a, b)``: one tuple object per pair, shared by the
-    relation tables of a grid."""
+    relation tables of a grid, whose spec must be binary."""
+    if not spec.is_binary():
+        raise OutOfRange(f"a grid holds pairs, but {spec.name} is not binary")
     return [[(a, b) for b in range(size)] for a in range(size)]
 
 
 def equality_grid(points: list[tuple[int, ...]], spec: ClassSpec) -> FiniteStructure:
     """The structure on ``points`` where relation ``i`` of the spec holds
     between two points iff they agree at coordinate ``i``."""
-    pairs = _pair_tuples(len(points))
+    pairs = _pair_tuples(len(points), spec)
     tables = {}
     for i, name in enumerate(spec.signature.names):
         blocks: dict[int, list[int]] = {}
@@ -113,14 +113,14 @@ def equality_grid(points: list[tuple[int, ...]], spec: ClassSpec) -> FiniteStruc
         tables[name] = frozenset(
             pairs[a][b] for block in blocks.values() for a in block for b in block
         )
-    return FiniteStructure(spec.signature, len(points), tables)
+    return FiniteStructure._trusted(spec.signature, len(points), tables)
 
 
 def order_grid(points: list[tuple[int, ...]], spec: ClassSpec) -> FiniteStructure:
     """The structure on the distinct ``points`` where relation ``i`` of the
     spec orders points by coordinate ``i``, ties broken on the whole
     tuple."""
-    pairs = _pair_tuples(len(points))
+    pairs = _pair_tuples(len(points), spec)
     tables = {}
     for i, name in enumerate(spec.signature.names):
         order = sorted(range(len(points)), key=lambda p: (points[p][i], points[p]))
@@ -129,7 +129,7 @@ def order_grid(points: list[tuple[int, ...]], spec: ClassSpec) -> FiniteStructur
         tables[name] = frozenset(
             {pairs[a][b] for r, a in enumerate(order) for b in order[r + 1 :]}
         )
-    return FiniteStructure(spec.signature, len(points), tables)
+    return FiniteStructure._trusted(spec.signature, len(points), tables)
 
 
 def grid_index(point: tuple[int, ...], side: int) -> int:

@@ -277,6 +277,22 @@ def _ramsey2(sizes: tuple[int, ...]) -> int:
     return total
 
 
+def _colorings(colors: int, side: int, dim: int) -> int:
+    """``colors ** (side ** dim)``, the colorings of a side-``side`` box of
+    dimension ``dim``.  An exponent wider than 32 bits raises
+    ``OverflowError`` (the power could not be computed); it is detected
+    from ``side``'s bit length before the exponent itself is formed."""
+    # side ** dim has at least (bit_length - 1) * dim + 1 bits
+    if (side.bit_length() - 1) * dim < 32:
+        exponent = side**dim
+        if exponent.bit_length() <= 32:
+            return colors**exponent
+    raise OverflowError(
+        f"box bound explodes: colors ** (side ** {dim}) has an exponent "
+        f"wider than 32 bits"
+    )
+
+
 def box_ramsey_upper_bound(k: int, colors: int, m: int, kind: str = "point") -> int:
     """A grid side guaranteed to contain a monochromatic side-m box.
 
@@ -290,6 +306,9 @@ def box_ramsey_upper_bound(k: int, colors: int, m: int, kind: str = "point") -> 
     solves dimension k with colors**(|directions| * 2) super-colors
     (pair-of-slices colorings split by direction and endpoint order),
     then pigeonholes the new axis with colors**(side**2) induced colors.
+
+    Raises ``OverflowError`` where a coloring count has an exponent wider
+    than 32 bits (see ``_colorings``).
     """
     if min(k, colors, m) < 1:
         raise ValueError(f"need k, colors, m >= 1, got {(k, colors, m)}")
@@ -300,19 +319,14 @@ def box_ramsey_upper_bound(k: int, colors: int, m: int, kind: str = "point") -> 
     if kind == "point":
         n = colors * (m - 1) + 1
         for dim in range(2, k + 1):
-            n = max(n, (m - 1) * colors ** (n ** (dim - 1)) + 1)
+            n = max(n, (m - 1) * _colorings(colors, n, dim - 1) + 1)
         return max(n, m)
     s = colors * (m - 1) + 1
     n = multicolor_ramsey_upper((s,) * colors)
     for dim in range(2, k + 1):
         inner_colors = colors ** (len(directions(dim - 1)) * 2)
         n_prev = box_ramsey_upper_bound(dim - 1, inner_colors, m, kind="directed")
-        if n_prev.bit_length() > 64:
-            raise OverflowError(
-                f"directed bound explodes at dimension {dim}: the inner side "
-                f"already needs {n_prev.bit_length()} bits"
-            )
-        axis_colors = colors ** (n_prev**2)
+        axis_colors = _colorings(colors, n_prev, 2)
         s_axis = axis_colors * (m - 1) + 1
         n_axis = multicolor_ramsey_upper((s_axis,) * axis_colors)
         n = max(n_prev, n_axis)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -186,7 +187,8 @@ class FiniteStructure:
         The caller guarantees what those checks would: ``size >= 0``, one
         frozenset per relation of ``signature`` and no other, and every
         tuple of the right arity over ``range(size)``.  Only derivations of
-        an already valid structure use it.
+        an already valid structure, and builders whose tables are valid by
+        construction, use it.
         """
         structure = object.__new__(cls)
         object.__setattr__(structure, "signature", signature)
@@ -392,8 +394,11 @@ class FiniteStructure:
     @classmethod
     def from_json(cls, data: dict) -> "FiniteStructure":
         sig = Signature.from_json(data["signature"])
+        # operator.index refuses a point that is not an integer, such as 1.5
         tables = {
-            name: frozenset(tuple(t) for t in data["relations"].get(name, []))
+            name: frozenset(
+                tuple(map(operator.index, t)) for t in data["relations"].get(name, [])
+            )
             for name in sig.names
         }
         return cls(sig, int(data["size"]), tables)

@@ -1,15 +1,22 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fraisse
 from fraisse.classes import builtin
 from fraisse.cli import main
 from fraisse.config import identity_interpretation, parse_formula, product_configuration
 from fraisse.config import InterpretationMap
+from fraisse.limits import build_generic_model
 
 
 def run(capsys, *argv):
@@ -125,6 +132,14 @@ def test_ramsey_box_directed_overflow_is_cap_hit(capsys):
         capsys, "ramsey-box", "--k", "2", "--colors", "2", "--m", "2",
         "--kind", "directed",
     )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cap hit:") and err.count("\n") == 1
+
+
+def test_ramsey_box_point_overflow_is_cap_hit(capsys):
+    # the point bound at k = 4 needs 2 ** ((2**81 + 1) ** 3), which cannot be computed
+    code, out, err = run(capsys, "ramsey-box", "--k", "4", "--colors", "2", "--m", "2")
     assert code == 2
     assert out == ""
     assert err.startswith("cap hit:") and err.count("\n") == 1
@@ -354,6 +369,142 @@ def test_verify_config_atom_outside_target_signature_is_usage_error(
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "which, mutate",
+    [
+        ("target", lambda d: d["signature"][0].pop("arity")),
+        ("target", lambda d: d.update(relations=[])),
+        ("target", lambda d: d["relations"].update(E=[5])),
+        ("config", lambda d: d.update(formulas=[])),
+        ("config", lambda d: d.update(index=5)),
+        ("target", None),
+    ],
+    ids=[
+        "signature-entry-without-arity",
+        "relations-as-list",
+        "tuple-as-number",
+        "formulas-as-list",
+        "index-as-number",
+        "target-is-a-directory",
+    ],
+)
+def test_malformed_input_file_is_usage_error(
+    capsys, tmp_path, config_files, which, mutate
+):
+    # a traceback would exit 1, the "refuted" code
+    paths = dict(zip(("config", "target"), config_files))
+    if mutate is None:
+        paths[which] = str(tmp_path)
+    else:
+        with open(paths[which], encoding="utf-8") as handle:
+            data = json.load(handle)
+        mutate(data)
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(data))
+        paths[which] = str(broken)
+    code, out, err = run(
+        capsys, "verify-config", "--config", paths["config"],
+        "--target", paths["target"], "--bound", "1",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_non_member_model_file_is_usage_error(capsys, tmp_path, config_files):
+    config_path, target_path = config_files
+    with open(target_path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    data["relations"]["E"].append([0, 0])  # a loop: not a graph
+    broken = tmp_path / "loop.json"
+    broken.write_text(json.dumps(data))
+    for argv in (
+        ("verify-config", "--config", config_path, "--target", str(broken)),
+        ("dagger", "--target", str(broken)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "error: model structure is not a member of its class\n"
+
+
+# -- a fuzz of the input files ------------------------------------------------------------
+
+FUZZ_MODEL = build_generic_model(builtin("G"), level=1, size_cap=8).to_json()  # 4 points
+FUZZ_CONFIG = identity_interpretation(builtin("G")).to_json()
+# values of other types, and points out of range of the model; none makes a
+# model of more than 8 points
+FUZZ_VALUES = [
+    None, True, -1, 0, 1.5, 4, 8, "x", "G", [], [4], [[0, 8]], [[0, 1.5], [1.5, 0]],
+    {}, {"E": 1},
+]
+
+
+def _node_paths(node, path=()):
+    """The key paths of every node of a JSON document, the root first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _node_paths(child, path + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` with one or two nodes dropped or replaced by a fuzz value."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_node_paths(doc))))
+        value = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    files=st.one_of(
+        st.tuples(st.just(FUZZ_CONFIG), _mutated(FUZZ_MODEL)),
+        st.tuples(_mutated(FUZZ_CONFIG), st.just(FUZZ_MODEL)),
+        st.tuples(_mutated(FUZZ_CONFIG), _mutated(FUZZ_MODEL)),
+    )
+)
+def test_mutated_input_files_never_raise(files):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("config.json", "target.json")]
+        for path, doc in zip(paths, files):
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(
+                ["verify-config", "--config", paths[0], "--target", paths[1], "--bound", "1"]
+            )
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 3:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+
+
+def test_dagger_on_a_target_missing_codes_is_refuted(capsys, tmp_path):
+    # a refuted report keeps the three facts as its witness, not in its details
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps(FUZZ_MODEL))
+    code, data = run_json(capsys, "dagger", "--target", str(small))
+    assert code == 1
+    assert data["report"]["status"] == "refuted"
+    assert data["pair_types"] < 12
 
 
 # -- output shape ------------------------------------------------------------------------

@@ -6,14 +6,16 @@ import pytest
 
 from fraisse import kernels
 from fraisse.classes import ClassSpec, builtin, parse_class_expr
-from fraisse.errors import NotAmalgamation
+from fraisse.errors import NotAmalgamation, OutOfRange
 from fraisse.limits import (
     GenericModel,
     build_box_model,
     build_generic_model,
     build_order_box_model,
     check_extension_property,
+    equality_grid,
     order_box_embedding,
+    order_grid,
 )
 from fraisse.structures import Signature, enumerate_structures, find_embeddings
 
@@ -330,3 +332,27 @@ def test_model_json_round_trip(graph_model):
     again = GenericModel.loads(graph_model.dumps())
     assert again.structure == graph_model.structure
     assert again.certified_level == graph_model.certified_level
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_box_model(2, 3),
+        lambda: build_order_box_model(2, 3),
+        lambda: build_generic_model(builtin("G"), level=2, size_cap=64),
+        lambda: build_generic_model(builtin("E"), level=2, size_cap=64),
+        lambda: build_generic_model(builtin("LO"), level=1, size_cap=16),
+        lambda: build_generic_model(builtin("T"), level=1, size_cap=16),
+    ],
+    ids=["box", "order-box", "closure-G", "closure-E", "closure-LO", "closure-T"],
+)
+def test_builders_return_members_of_their_class(build):
+    # a model is checked only when read from JSON: every builder must return a member
+    model = build()
+    assert model.spec.admits(model.structure)
+
+
+@pytest.mark.parametrize("grid", [equality_grid, order_grid])
+def test_grid_of_a_non_binary_spec_is_rejected(grid):
+    with pytest.raises(OutOfRange):
+        grid([(0,), (1,)], builtin("H3"))

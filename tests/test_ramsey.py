@@ -211,6 +211,13 @@ def test_directed_bound_overflow_guard():
         box_ramsey_upper_bound(3, 2, 2, kind="directed")
 
 
+def test_point_bound_overflow_guard():
+    # dimension 4 would need 2 ** ((2**81 + 1) ** 3): an exponent of 244 bits
+    with pytest.raises(OverflowError):
+        box_ramsey_upper_bound(4, 2, 2)
+    assert box_ramsey_upper_bound(3, 2, 2) == 2**81 + 1
+
+
 def test_bound_is_sufficient_for_small_cases():
     # every 2-coloring of a grid of the bound's size contains a box of side 2
     n = box_ramsey_upper_bound(1, 2, 2)
