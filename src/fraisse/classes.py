@@ -27,6 +27,7 @@ means verified up to the stated bound.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -425,9 +426,19 @@ def verify_class_axioms(
     predicates is a conjunction of isomorphism-invariant properties, one
     relation at a time, and whether each relation of a candidate has a
     completion is decided exactly (:func:`_fill_relation`), so the verdict
-    depends on the diagram's type alone.  For a class with
-    predicates every arm is its own type.  Instances run in the same order
-    either way, so a refutation names the same first failing instance.
+    depends on the diagram's type alone.
+
+    Without identifications the relations do not even meet: the disjoint
+    union inherits each relation's tuples from the arms and completes that
+    relation on its own.  So for strong amalgamation and joint embedding
+    in such a class, a diagram amalgamates exactly when each relation's
+    one-relation reduct of it does, and each relation is searched once per
+    isomorphism type of its reduct diagram, whatever the base.  Plain
+    amalgamation identifies points across all relations at once, and a
+    predicate may read several relations: there the whole diagram is
+    searched, and for a class with predicates every arm is its own type.
+    Instances run in the same order in every case, so a refutation names
+    the same first failing instance.
     """
     if bound < 1:
         raise ValueError(f"bound {bound} < 1")
@@ -457,30 +468,47 @@ def _verify_amalgamation(spec, bound, axiom, budget) -> VerificationReport:
     strong = axiom != "amalgamation"
     members = spec.members_upto(bound, budget=budget)
     bases = [spec.empty_structure()] if axiom == "joint_embedding" else members
+    # the parts searched apart: each of several relations of a strong amalgam
+    # without predicates, else the whole diagram; and each part's view of
+    # the members, the member itself or its one-relation reduct
+    names = spec.signature.names
+    parts = names if strong and not spec.predicates and len(names) > 1 else (None,)
+    views = [members if p is None else [b.reduct((p,)) for b in members] for p in parts]
+    # decided: (part, unordered pair of its keys) -> does that part amalgamate;
+    # type_ids: an arm's tuple of part keys -> a small id for its type;
+    # amalgamated: type id -> the ids of the types every part amalgamates with
+    decided = {}
+    type_ids = {}
+    amalgamated = collections.defaultdict(set)
     checked = 0
     for base in bases:
         arms = []
-        for b in members:
+        for j, b in enumerate(members):
             if b.size < base.size:
                 continue
             for emb in find_embeddings(base, b, budget=budget):
-                arms.append((b, emb.mapping))
+                arms.append((j, emb.mapping))
         # A custom predicate may reject the one completion per relation that
         # the amalgam search commits to, so there each arm is its own type.
         if spec.predicates:
-            keys = range(len(arms))
+            keys = [(object(),) for _ in arms]
         else:
-            keys = [_arm_key(b, f) for b, f in arms]
-        # unordered pairs of arm types already amalgamated; the first
-        # failure ends the check, so no failing pair is ever looked up again
-        amalgamated = set()
-        for i, ((b0, f0), key0) in enumerate(zip(arms, keys)):
-            for (b1, f1), key1 in zip(arms[i:], keys[i:]):
-                checked += 1
-                pair = frozenset((key0, key1))
-                if pair in amalgamated:
+            keys = [tuple(_arm_key(view[j], f) for view in views) for j, f in arms]
+        ids = [type_ids.setdefault(key, len(type_ids)) for key in keys]
+        checked += len(arms) * (len(arms) + 1) // 2
+        for i, ((j0, f0), key0, id0) in enumerate(zip(arms, keys, ids)):
+            with_id0 = amalgamated[id0]
+            for (j1, f1), key1, id1 in zip(arms[i:], keys[i:], ids[i:]):
+                if id1 in with_id0:
                     continue
-                if _find_amalgam(spec, b0, f0, b1, f1, strong) is None:
+                for part, view, k0, k1 in zip(parts, views, key0, key1):
+                    part_pair = part, frozenset((k0, k1))
+                    if part_pair not in decided:
+                        amalgam = _find_amalgam(spec, view[j0], f0, view[j1], f1, strong)
+                        decided[part_pair] = amalgam is not None
+                    if decided[part_pair]:
+                        continue
+                    b0, b1 = members[j0], members[j1]
                     return VerificationReport.refuted(
                         axiom,
                         {
@@ -494,21 +522,25 @@ def _verify_amalgamation(spec, bound, axiom, budget) -> VerificationReport:
                         within_cap=True,
                         cap=b0.size + b1.size - base.size,
                     )
-                amalgamated.add(pair)
+                with_id0.add(id1)
+                amalgamated[id1].add(id0)
     return VerificationReport.verified_up_to(axiom, bound, instances=checked)
 
 
 def _arm_key(b, f):
-    """The isomorphism type of the arm ``(B, f)`` over its base.
+    """The isomorphism type of the arm ``(B, f)`` over its base; with B a
+    one-relation reduct, the type of that relation's arm.
 
-    The key is B's size and the least :meth:`~FiniteStructure.encode`, as
-    an encoding slot, over the relabellings of B that put f's image first,
-    in f's order, and its private points after.  Two arms over one base
-    get equal keys exactly when an isomorphism of their B's carries one f
-    to the other.
+    The key is the base's size, B's size and the least
+    :meth:`~FiniteStructure.encode`, as an encoding slot, over the
+    relabellings of B that put f's image first, in f's order, and its
+    private points after.  Two arms get equal keys exactly when an
+    isomorphism of their B's carries one f to the other.  The base is the
+    relabelled B's first ``len(f)`` points, so equal keys also mean equal
+    bases, and keys can be compared across bases.
     """
     slots = b.encoding_slots()
-    return b.size, min(slots[i] for i in _fixing_relabellings(b.size, tuple(f)))
+    return len(f), b.size, min(slots[i] for i in _fixing_relabellings(b.size, tuple(f)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -549,12 +581,13 @@ def _amalgam_candidate(spec, b0, f0, b1, f1, pairing):
     ``pairing`` (B1 point -> B0 point), or None.
 
     Point layout: B0 keeps its indices; the unglued points of B1 follow in
-    increasing order.  Atoms must agree on the glued points; tuples inside
-    either part are inherited, and only the tuples mixing the two private
-    parts are open.  :func:`_fill_relation` completes them relation by
-    relation, or finds that no completion keeps the relation's properties.
-    The constraints cover the signature, so only the custom predicates are
-    left to test at the end.
+    increasing order.  Each relation of the parts' signature (the class's,
+    or one relation's reduct of it) is completed on its own: atoms must
+    agree on the glued points, tuples inside either part are inherited,
+    and only the tuples mixing the two private parts are open.
+    :func:`_fill_relation` completes them, or finds that no completion
+    keeps the relation's properties.  The constraints cover the signature,
+    so only the custom predicates are left to test at the end.
     """
     to_c = dict(zip(f1, f0))
     to_c.update(pairing)
@@ -565,18 +598,18 @@ def _amalgam_candidate(spec, b0, f0, b1, f1, pairing):
             size += 1
     # f0 and f1 embed the same base, so only identified points can disagree
     glued = [*f1, *pairing] if pairing else ()
-    tables = {}
-    for name, arity in spec.signature.symbols:
+    private0 = frozenset(range(b0.size)).difference(to_c.values())
+    candidate = b0.disjoint_union_universe(size - b0.size)
+    for name, arity in b0.signature.symbols:
         rel0, rel1 = b0.relations[name], b1.relations[name]
         for tup in itertools.product(glued, repeat=arity):
             if (tup in rel1) != (tuple(to_c[x] for x in tup) in rel0):
                 return None
-        tables[name] = set(rel0) | {tuple(to_c[x] for x in tup) for tup in rel1}
-    candidate = b0.disjoint_union_universe(size - b0.size).with_relations(tables)
-    private0 = frozenset(range(b0.size)).difference(to_c.values())
-    for name, arity in spec.signature.symbols:
+        table = rel0 | {tuple(to_c[x] for x in tup) for tup in rel1}
         free = _mixed_tuples(size, arity, private0, b0.size)
-        candidate = _fill_relation(spec, candidate, name, free)
+        candidate = _fill_relation(
+            spec, candidate.with_relations({name: table}), name, free
+        )
         if candidate is None:
             return None
     return candidate if all(p.holds(candidate) for p in spec.predicates) else None

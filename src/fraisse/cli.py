@@ -27,7 +27,7 @@ from .errors import BudgetExceeded, FraisseError
 from .limits import GenericModel, build_generic_model
 from .ramsey import (
     box_ramsey_upper_bound,
-    directions,
+    direction_count,
     find_monochromatic_box,
     random_point_coloring,
 )
@@ -169,7 +169,7 @@ def cmd_ramsey_box(args, spec):
         "colors": args.colors,
         "m": args.m,
         "kind": args.kind,
-        "directions": len(directions(args.k)),
+        "directions": direction_count(args.k),
         "bound": bound,
     }
     if args.seed is None:
@@ -179,6 +179,14 @@ def cmd_ramsey_box(args, spec):
         return EXIT_USAGE, None
     if bound > 16:
         print(f"bound {bound} too large for a coloring demo", file=sys.stderr)
+        return EXIT_USAGE, None
+    # the demo colors all bound**k points; any side of 2 or more passes 16**3
+    # by k = 13, so a larger k is refused before the power is formed
+    if bound > 1 and (args.k > 12 or bound**args.k > 16**3):
+        print(
+            f"box of {bound}**{args.k} points too large for a coloring demo",
+            file=sys.stderr,
+        )
         return EXIT_USAGE, None
     coloring = random_point_coloring(args.k, bound, args.colors, args.seed)
     witness = find_monochromatic_box(coloring, args.m)

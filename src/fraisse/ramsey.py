@@ -45,6 +45,14 @@ def directions(k: int) -> list[tuple[int, ...]]:
     return out
 
 
+def direction_count(k: int) -> int:
+    """``len(directions(k))`` without building them: the zero vector and
+    half of the other 3**k - 1, one of each pair t, -t."""
+    if k < 1:
+        raise ValueError(f"k {k} < 1")
+    return (3**k + 1) // 2
+
+
 def leq_t(a, b, t) -> bool:
     """Pointwise comparison along a direction: coordinate i must satisfy
     a_i < b_i, a_i = b_i, or a_i > b_i as t_i is 1, 0, or -1."""
@@ -324,7 +332,7 @@ def box_ramsey_upper_bound(k: int, colors: int, m: int, kind: str = "point") -> 
     s = colors * (m - 1) + 1
     n = multicolor_ramsey_upper((s,) * colors)
     for dim in range(2, k + 1):
-        inner_colors = colors ** (len(directions(dim - 1)) * 2)
+        inner_colors = colors ** (direction_count(dim - 1) * 2)
         n_prev = box_ramsey_upper_bound(dim - 1, inner_colors, m, kind="directed")
         axis_colors = _colorings(colors, n_prev, 2)
         s_axis = axis_colors * (m - 1) + 1

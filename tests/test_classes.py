@@ -27,6 +27,7 @@ from fraisse.classes import (
     verify_class_axioms,
 )
 from fraisse import classes
+from fraisse.cli import main
 from fraisse.classes import _amalgam_candidate, _arm_key, _fill_relation, _find_amalgam
 from fraisse.errors import (
     BudgetExceeded,
@@ -359,6 +360,16 @@ AXIOM_REPORT_PINS = {
 }
 
 
+# sha256 of the report of ``fraisse check-class --class X --bound 3 --axiom
+# all`` for superpositions whose strong amalgams are decided per relation
+CHECK_CLASS_PINS = {
+    "G*T": "035a59703f051db5d59e86bc4c7aba93ac0e695daa1e609d899e22565e450939",
+    "E^2": "c1e5e79d37992ed6e3751afc5accb4eb7a030c47ed75a6fe397a1ea1249d4901",
+    "LO*G": "8f31138c28cf4ee24ff5d6fdb0efd2f74480beb8d8e57986a72e2c4ed3c24fe5",
+    "G^2": "73f31b37adb72479f730f2f99efbb0858d79e9d25471027bd260878f74807b5e",
+}
+
+
 def _axiom_pin_classes():
     for name in BUILTIN_NAMES:
         yield name, builtin(name), 2
@@ -378,6 +389,15 @@ def test_axiom_reports_are_pinned():
         for name, spec, bound in _axiom_pin_classes()
     }
     assert digests == AXIOM_REPORT_PINS
+
+
+def test_check_class_reports_are_pinned(capsys):
+    digests = {}
+    for expr in CHECK_CLASS_PINS:
+        argv = ["check-class", "--class", expr, "--bound", "3", "--axiom", "all"]
+        assert main(argv) == 0
+        digests[expr] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == CHECK_CLASS_PINS
 
 
 # -- one verdict per isomorphism type of the diagram -------------------------------
@@ -425,6 +445,13 @@ def _differential_classes():
     yield "matching", matching_class(), 3
     yield "P<=1", at_most_one_P(), 3
     yield "T-few-4", few_out_degree_4(), 4
+    # joint embedding refuted through the first relation and through the
+    # second; a predicate keeps the whole diagram as the one part
+    r, g, p = symmetric_trichotomous(), builtin("G"), at_most_one_P()
+    yield "G*R", superpose(g, r), 3
+    yield "R*G", superpose(r, g), 3
+    yield "P<=1*G", superpose(p, g), 3
+    yield "G*P<=1", superpose(g, p), 3
 
 
 DIFFERENTIAL = {name: (spec, bound) for name, spec, bound in _differential_classes()}
@@ -436,6 +463,34 @@ def test_amalgamation_matches_the_per_instance_reference(name):
     for axiom in ("joint_embedding", "amalgamation", "strong_amalgamation"):
         expected = reference_verify_amalgamation(spec, bound, axiom).dumps()
         assert verify_class_axioms(spec, bound, axiom).dumps() == expected, axiom
+
+
+def _one_relation_classes():
+    """Every property set of one relation of arity 1 to 3, but two: the
+    ternary relations with no property, or trichotomy alone, which says
+    nothing on two points.  Both keep all 138 structures on two points,
+    and their sweep alone takes 11 s."""
+    for arity in (1, 2, 3):
+        usable = [p for p in PROPERTIES if arity == 2 or p != "transitive"]
+        for k in range(len(usable) + 1):
+            for props in itertools.combinations(usable, k):
+                if arity == 3 and set(props) <= {"trichotomous"}:
+                    continue
+                name = f"arity{arity}:" + "+".join(props)
+                yield name, ClassSpec(
+                    name, Signature((("R", arity),)), (("R", frozenset(props)),)
+                )
+
+
+ONE_RELATION_CLASSES = dict(_one_relation_classes())
+
+
+@pytest.mark.parametrize("name", sorted(ONE_RELATION_CLASSES))
+def test_one_relation_amalgamation_matches_the_per_instance_reference(name):
+    spec = ONE_RELATION_CLASSES[name]
+    for axiom in ("joint_embedding", "amalgamation", "strong_amalgamation"):
+        expected = reference_verify_amalgamation(spec, 2, axiom).dumps()
+        assert verify_class_axioms(spec, 2, axiom).dumps() == expected, axiom
 
 
 def test_symmetric_trichotomous_joint_embedding_witness():
@@ -458,8 +513,13 @@ def _isomorphic_over_base(b0, f0, b1, f1):
 
 @pytest.mark.parametrize("expr", ["G", "T", "LO*G", "E^2"])
 def test_arm_keys_are_isomorphism_types_over_the_base(expr):
+    """Over each base, arms, and each relation's reducts of them, get equal
+    keys exactly when they are isomorphic over the base; and equal keys
+    over two bases mean equal bases, or equal reducts of them."""
     spec = parse_class_expr(expr)
     members = spec.members_upto(3)
+    views = [None, *spec.signature.names]
+    base_of = {}
     for base in [spec.empty_structure(), *members]:
         arms = [
             (b, emb.mapping)
@@ -467,9 +527,15 @@ def test_arm_keys_are_isomorphism_types_over_the_base(expr):
             if b.size >= base.size
             for emb in find_embeddings(base, b)
         ]
-        keys = [_arm_key(b, f) for b, f in arms]
-        for (arm0, key0), (arm1, key1) in itertools.combinations(zip(arms, keys), 2):
-            assert (key0 == key1) == _isomorphic_over_base(*arm0, *arm1)
+        for view in views:
+            reducts = [(b if view is None else b.reduct((view,)), f) for b, f in arms]
+            keys = [_arm_key(b, f) for b, f in reducts]
+            base_view = base if view is None else base.reduct((view,))
+            for key in keys:
+                assert base_of.setdefault((view, key), base_view) == base_view
+            pairs = itertools.combinations(zip(reducts, keys), 2)
+            for (arm0, key0), (arm1, key1) in pairs:
+                assert (key0 == key1) == _isomorphic_over_base(*arm0, *arm1)
 
 
 @pytest.mark.parametrize(
@@ -497,19 +563,57 @@ def test_arm_keys_match_the_relabelling_oracle(spec):
         assert len(set(keys)) == len(set(oracle)) == len(set(zip(keys, oracle)))
 
 
-def test_amalgam_search_runs_once_per_diagram_type(monkeypatch):
-    calls = 0
+def _counting_searches(monkeypatch):
+    """Record the signature of the parts every amalgam search is run on."""
+    searched = []
     find = classes._find_amalgam
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return find(*args)
+    def counting(spec, b0, f0, b1, f1, strong):
+        searched.append(b0.signature)
+        return find(spec, b0, f0, b1, f1, strong)
 
     monkeypatch.setattr(classes, "_find_amalgam", counting)
-    report = verify_class_axioms(builtin("G"), 4, "strong_amalgamation")
-    assert report.details["instances"] == 13014
-    assert calls <= 1276
+    return searched
+
+
+def test_amalgam_search_runs_once_per_diagram_type(monkeypatch):
+    """One search per isomorphism type of each part's diagram: a relation's
+    reduct for a superposition, the whole diagram for one relation."""
+    searched = _counting_searches(monkeypatch)
+    for expr, bound, instances, most in (
+        ("G", 4, 13014, 1276),
+        ("G*T", 3, 1263, 127),
+        ("G^2", 3, 4651, 162),
+    ):
+        searched.clear()
+        spec = parse_class_expr(expr)
+        report = verify_class_axioms(spec, bound, "strong_amalgamation")
+        assert report.details["instances"] == instances, expr
+        assert 0 < len(searched) <= most, expr
+
+
+@pytest.mark.parametrize(
+    "expr, axiom, one_relation",
+    [
+        ("G*T", "strong_amalgamation", True),
+        ("G*T", "joint_embedding", True),
+        ("G*T", "amalgamation", False),
+        ("P<=1*G", "strong_amalgamation", False),
+    ],
+)
+def test_relations_are_searched_apart_only_without_ties(
+    expr, axiom, one_relation, monkeypatch
+):
+    """Strong amalgamation and joint embedding search each relation's
+    reduct; identifications and predicates keep the whole diagram."""
+    spec = DIFFERENTIAL[expr][0]
+    searched = _counting_searches(monkeypatch)
+    verify_class_axioms(spec, 3, axiom)
+    assert searched
+    if one_relation:
+        assert {len(sig.names) for sig in searched} == {1}
+    else:
+        assert set(searched) == {spec.signature}
 
 
 # -- each relation of an amalgam completed by construction ---------------------------

@@ -79,6 +79,37 @@ def test_ramsey_box_demo_with_seed(capsys):
     assert data["witness"] is not None
 
 
+def _refuse_to_build(monkeypatch):
+    """Make building the direction vectors, or a demo coloring, fail."""
+    import fraisse.cli
+    import fraisse.ramsey
+
+    def refuse(*args):
+        raise AssertionError(f"built a list for {args}")
+
+    monkeypatch.setattr(fraisse.ramsey, "directions", refuse)
+    monkeypatch.setattr(fraisse.cli, "random_point_coloring", refuse)
+
+
+def test_ramsey_box_counts_directions_without_building_them(capsys, monkeypatch):
+    _refuse_to_build(monkeypatch)
+    code, data = run_json(capsys, "ramsey-box", "--k", "40", "--colors", "1", "--m", "2")
+    assert code == 0
+    assert data["directions"] == (3**40 + 1) // 2
+    assert data["bound"] == 2
+
+
+def test_ramsey_box_demo_refuses_a_box_too_large_to_color(capsys, monkeypatch):
+    # side 2 in dimension 40: 2**40 points, refused before any is colored
+    _refuse_to_build(monkeypatch)
+    code, out, err = run(
+        capsys, "ramsey-box", "--k", "40", "--colors", "1", "--m", "2", "--seed", "1"
+    )
+    assert code == 3
+    assert out == ""
+    assert "too large for a coloring demo" in err and err.count("\n") == 1
+
+
 def test_dagger(capsys):
     code, data = run_json(capsys, "dagger")
     assert code == 0

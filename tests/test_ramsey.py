@@ -8,6 +8,7 @@ from fraisse.ramsey import (
     BoxColoring,
     box_ramsey_upper_bound,
     check_directed_box,
+    direction_count,
     direction_of,
     directions,
     find_monochromatic_box,
@@ -24,7 +25,7 @@ from fraisse.ramsey import (
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_direction_count(k):
-    assert len(directions(k)) == (3**k + 1) // 2
+    assert len(directions(k)) == (3**k + 1) // 2 == direction_count(k)
 
 
 def test_directions_are_canonical():
