@@ -283,7 +283,7 @@ class FiniteStructure:
 
     def reduct(self, names: Sequence[str]) -> "FiniteStructure":
         sig = self.signature.restrict(names)
-        return FiniteStructure(
+        return FiniteStructure._trusted(
             sig, self.size, {n: self.relations[n] for n in sig.names}
         )
 
