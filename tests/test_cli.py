@@ -81,8 +81,6 @@ def test_ramsey_box_demo_with_seed(capsys):
 
 def _refuse_to_build(monkeypatch):
     """Make building the direction vectors, or a demo coloring, fail."""
-    import fraisse.cli
-    import fraisse.ramsey
 
     def refuse(*args):
         raise AssertionError(f"built a list for {args}")
