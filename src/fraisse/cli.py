@@ -162,7 +162,19 @@ def cmd_rank(args, spec):
     }
 
 
+# The report prints direction_count(k), of about k / 2 decimal digits; 3**1000
+# has 478, under the least limit Python sets on converting an int to text
+# (640 digits), so every k up to the cap prints.
+MAX_BOX_DIMENSION = 1000
+
+
 def cmd_ramsey_box(args, spec):
+    if args.k > MAX_BOX_DIMENSION:
+        print(
+            f"--k {args.k} above the largest dimension {MAX_BOX_DIMENSION}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE, None
     bound = box_ramsey_upper_bound(args.k, args.colors, args.m, kind=args.kind)
     fields = {
         "k": args.k,

@@ -13,12 +13,17 @@ for *all* tuples, including repeated entries.  Certificates are
 re-checkable by plain evaluation, independent of the search that found
 them.
 
-Evaluation is compiled: :func:`compile_formula` walks a formula tree
-once and returns a closure over the target's relation tables, and each
-check (``verify_configuration``, ``ConfigCertificate.recheck``,
-``PatternWitness.verify``) compiles its map's formulas once per call and
-keeps them no longer.  The tree walk it replaces, one per tuple, is the
-test oracle ``reference_evaluate`` in ``tests/reference_search.py``.
+One compiler serves evaluation and search: :func:`compile_formula` walks
+a formula tree once and returns ``mask(at, values)``, the bitset of
+target points that make the formula hold when its free references read
+them, reading the other coordinates of each slot from a flat list of
+values.  With no free reference that is the truth as 1 or 0, which
+certificate rechecks, ``witness_violation`` and ``PatternWitness.verify``
+read; :func:`search_witness` frees the references to the coordinate a
+check filters.  Each call compiles what it needs once: a recheck its
+map's formulas, a ``verify_configuration`` call (or one ``--jobs`` worker)
+each search check.  The tree walk per tuple is the test oracle
+``reference_evaluate`` in ``tests/reference_search.py``.
 
 Formulas are quantifier-free by design: every construction implemented
 here uses quantifier-free formulas, which keeps evaluation total, fast
@@ -40,7 +45,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import partial
 
 from .classes import ClassSpec, parse_class_expr, superpose
 from .errors import (
@@ -187,54 +192,115 @@ def map_refs(formula, fn):
 # -- compiled evaluation -----------------------------------------------------------
 
 
-def compile_formula(formula, target: FiniteStructure, params):
-    """``holds(tuples)``: the truth of ``formula`` in ``target`` when slot
-    i reads the tuple ``tuples[i]`` and parameter j is ``params[j]``.
+def compile_formula(formula, target: FiniteStructure, params, free=frozenset()):
+    """``mask(at, values)``: the bitset of points x of ``target`` for
+    which ``formula`` holds when every reference in ``free`` reads x.
 
-    The tree is walked once, here: each node becomes a closure over its
-    children's, and parameters are resolved to their values.  An atom
-    looks its point up in the target's relation table, so a point outside
-    the universe (a witness value of -1, say) never holds.  An atom that
-    does not fit the target's signature raises :class:`UnknownRelation`
-    or :class:`OutOfRange` here, as in :class:`InterpretationMap`.
+    Coordinate ``(s, c)`` outside ``free`` reads ``values[at[s] + c]``
+    and parameter j reads ``params[j]``.  With ``free`` empty the result
+    is the truth as 1 or 0.  The tree is walked once, here: each node
+    becomes a closure over its children's.  A binary atom with a free end
+    is a row of the target's ``bit_rows``, an equality with a free end is
+    one bit, and the connectives are bit operations; atoms of other
+    arities with a free end test each point.  An atom with no free end
+    looks its tuple up in the relation table, so a point outside the
+    universe (a witness value of -1, say) never holds, and a parameter
+    outside the universe gives an empty row and bit.  An atom that does
+    not fit the target's signature raises :class:`UnknownRelation` or
+    :class:`OutOfRange` here, as in :class:`InterpretationMap`.
     """
-    if isinstance(formula, Const):
-        value = formula.value
-        return lambda tuples: value
-    if isinstance(formula, Not):
-        inner = compile_formula(formula.inner, target, params)
-        return lambda tuples: not inner(tuples)
-    if isinstance(formula, (And, Or)):
-        parts = [compile_formula(p, target, params) for p in formula.parts]
-        if isinstance(formula, And):
+    size = target.size
+    full = (1 << size) - 1 if free else 1
 
-            def conj(tuples):
+    def constant(mask):
+        return lambda at, values: mask
+
+    def read(ref):
+        if isinstance(ref, Coord):
+            slot, coord = ref.slot, ref.coord
+            return lambda at, values: values[at[slot] + coord]
+        return constant(params[ref.index])
+
+    def indexed(masks, ref):
+        """``masks[v]`` for the point v that ``ref`` reads; none outside
+        the universe."""
+        if isinstance(ref, Coord):
+            slot, coord = ref.slot, ref.coord
+            return lambda at, values: masks[values[at[slot] + coord]]
+        p = params[ref.index]
+        return constant(masks[p] if 0 <= p < size else 0)
+
+    def walk(f):
+        if isinstance(f, Const):
+            return constant(full if f.value else 0)
+        if isinstance(f, Not):
+            inner = walk(f.inner)
+            return lambda at, values: full ^ inner(at, values)
+        if isinstance(f, (And, Or)):
+            parts = [walk(p) for p in f.parts]
+            if isinstance(f, And):
+
+                def conj(at, values):
+                    mask = full
+                    for part in parts:
+                        mask &= part(at, values)
+                        if not mask:
+                            break
+                    return mask
+
+                return conj
+
+            def disj(at, values):
+                mask = 0
                 for part in parts:
-                    if not part(tuples):
-                        return False
-                return True
+                    mask |= part(at, values)
+                    if mask == full:
+                        break
+                return mask
 
-            return conj
+            return disj
+        if isinstance(f, Eq):
+            if f.left in free and f.right in free:
+                return constant(full)
+            if f.left in free or f.right in free:
+                bound = f.right if f.left in free else f.left
+                return indexed([1 << x for x in range(size)], bound)
+            left, right = read(f.left), read(f.right)
+            return lambda at, values: full if left(at, values) == right(at, values) else 0
+        _check_atom(f, target.signature)
+        table = target.relations[f.name]
+        ends = [a in free for a in f.args]
+        if not any(ends):
+            if len(f.args) == 2 and all(isinstance(a, Coord) for a in f.args):
+                # the shape of every built-in construction, read without getters
+                (s0, c0), (s1, c1) = ((a.slot, a.coord) for a in f.args)
+                return lambda at, values: (
+                    full if (values[at[s0] + c0], values[at[s1] + c1]) in table else 0
+                )
+            getters = [read(a) for a in f.args]
+            return lambda at, values: (
+                full if tuple([get(at, values) for get in getters]) in table else 0
+            )
+        if len(f.args) == 2:
+            out_rows, in_rows, loops = target.bit_rows[f.name]
+            first, second = f.args
+            if all(ends):
+                return constant(loops)
+            return indexed(in_rows, second) if ends[0] else indexed(out_rows, first)
+        getters = [None if end else read(a) for a, end in zip(f.args, ends)]
 
-        def disj(tuples):
-            for part in parts:
-                if part(tuples):
-                    return True
-            return False
+        def scan(at, values):
+            point = [None if get is None else get(at, values) for get in getters]
+            mask = 0
+            for x in range(size):
+                image = tuple(x if get is None else p for get, p in zip(getters, point))
+                if image in table:
+                    mask |= 1 << x
+            return mask
 
-        return disj
-    if isinstance(formula, Eq):
-        left = _compile_ref(formula.left, params)
-        right = _compile_ref(formula.right, params)
-        return lambda tuples: left(tuples) == right(tuples)
-    _check_atom(formula, target.signature)
-    table = target.relations[formula.name]
-    if len(formula.args) == 2 and all(isinstance(a, Coord) for a in formula.args):
-        # the shape of every built-in construction, read without getters
-        (s0, c0), (s1, c1) = ((a.slot, a.coord) for a in formula.args)
-        return lambda tuples: (tuples[s0][c0], tuples[s1][c1]) in table
-    getters = [_compile_ref(a, params) for a in formula.args]
-    return lambda tuples: tuple([get(tuples) for get in getters]) in table
+        return scan
+
+    return walk(formula)
 
 
 def _check_atom(atom, signature):
@@ -244,14 +310,6 @@ def _check_atom(atom, signature):
             f"atom {atom.render()} has {len(atom.args)} arguments, "
             f"{atom.name} has arity {arity}"
         )
-
-
-def _compile_ref(ref, params):
-    if isinstance(ref, Coord):
-        slot, coord = ref.slot, ref.coord
-        return lambda tuples: tuples[slot][coord]
-    value = params[ref.index]
-    return lambda tuples: value
 
 
 def compile_formulas(interp, target_structure):
@@ -470,8 +528,9 @@ class ConfigCertificate:
     def recheck(self) -> VerificationReport:
         """Independent re-evaluation of every biconditional (no search)."""
         compiled = compile_formulas(self.interpretation, self.target.structure)
+        n = self.interpretation.tuple_length
         for structure, witness in zip(self.structures, self.witnesses):
-            bad = _first_violation(compiled, structure, witness)
+            bad = _first_violation(compiled, n, structure, witness)
             if bad is not None:
                 return VerificationReport.refuted(
                     "certificate-recheck",
@@ -503,28 +562,36 @@ class ConfigCertificate:
 def witness_violation(interp, target_structure, structure, witness):
     """First violated biconditional of a witness map, or None."""
     return _first_violation(
-        compile_formulas(interp, target_structure), structure, witness
+        compile_formulas(interp, target_structure), interp.tuple_length, structure, witness
     )
 
 
-def _first_violation(compiled, structure, witness):
-    """:func:`witness_violation` with the formulas already compiled.
+def _first_violation(compiled, n, structure, witness):
+    """:func:`witness_violation` with the formulas already compiled and
+    tuples of length ``n``.
 
     Tuples of A run in lexicographic order, relations in signature order;
-    ``itertools.product`` over the witness yields each tuple's images in
-    the same order as over A's points.
+    the witness is flattened once, and ``itertools.product`` over its
+    tuples' start offsets yields each tuple's ``at`` in the same order as
+    over A's points.
     """
     if len(witness) != structure.size:
         raise ValueError(
             f"witness maps {len(witness)} points, the structure has {structure.size}"
         )
+    for t in witness:
+        if len(t) != n:
+            raise ValueError(
+                f"witness tuple {list(t)} has {len(t)} coordinates, the tuple length is {n}"
+            )
+    values = [x for t in witness for x in t]
+    starts = [e * n for e in range(structure.size)]
     for name, arity in structure.signature.symbols:
-        holds = compiled[name]
+        mask = compiled[name]
         table = structure.relations[name]
         points = itertools.product(range(structure.size), repeat=arity)
-        images = itertools.product(witness, repeat=arity)
-        for tup, tuples in zip(points, images):
-            if holds(tuples) != (tup in table):
+        for tup, at in zip(points, itertools.product(starts, repeat=arity)):
+            if mask(at, values) != (tup in table):
                 return {"relation": name, "tuple": list(tup)}
     return None
 
@@ -569,7 +636,7 @@ def verify_configuration(
         for i, structure in enumerate(structures):
             proposal = witness_builder(structure)
             if proposal is not None and _first_violation(
-                compiled, structure, proposal
+                compiled, interp.tuple_length, structure, proposal
             ) is None:
                 witnesses[i] = [tuple(t) for t in proposal]
         searched = [i for i in range(len(structures)) if witnesses[i] is None]
@@ -586,9 +653,10 @@ def verify_configuration(
         for i, result in zip(searched, results):
             witnesses[i] = result
     else:
+        checks = {}
         for i in searched:
-            witnesses[i] = search_witness(
-                interp, target.structure, structures[i], budget=budget
+            witnesses[i] = _search_witness(
+                interp, target.structure, structures[i], budget, checks
             )
     for structure, witness in zip(structures, witnesses):
         if witness is None:
@@ -614,8 +682,8 @@ def verify_configuration(
     )
 
 
-# The interpretation and target structure of a ``jobs > 1`` worker process,
-# loaded once per worker so its target's bit rows are built once.
+# The interpretation, target structure and compiled search checks of a
+# ``jobs > 1`` worker process, built once per worker.
 _WORKER_INPUTS = None
 
 
@@ -624,14 +692,15 @@ def _load_search_inputs(interp_text, target_text):
     _WORKER_INPUTS = (
         InterpretationMap.loads(interp_text),
         GenericModel.loads(target_text).structure,
+        {},
     )
 
 
 def _search_task(task):
     structure_text, budget = task
-    interp, target_structure = _WORKER_INPUTS
+    interp, target_structure, checks = _WORKER_INPUTS
     structure = FiniteStructure.loads(structure_text)
-    return search_witness(interp, target_structure, structure, budget=budget)
+    return _search_witness(interp, target_structure, structure, budget, checks)
 
 
 def search_witness(
@@ -646,45 +715,49 @@ def search_witness(
     Variables are the coordinates of the witness tuples in element-major
     order, and values are target points tried in ascending order, so the
     witness found is the lexicographically first.  Each biconditional is
-    compiled to the bitset of values of its last coordinate that satisfy
-    it (:func:`_allowed_values`); :func:`~fraisse.structures.forward_search`
+    a check on the bitset of values of its last coordinate that satisfy
+    it: the relation's formula, negated where the tuple is not in A,
+    compiled by :func:`compile_formula` with the references that read the
+    last coordinate free.  :func:`~fraisse.structures.forward_search`
     filters that coordinate's candidates as soon as the other coordinates
     it reads are assigned, and backtracks on an empty candidate set.  A
     search node is a candidate value that survived this filtering; more
     than ``budget`` nodes raise :class:`BudgetExceeded`.
     """
+    return _search_witness(interp, target_structure, structure, budget, {})
+
+
+def _search_witness(interp, target_structure, structure, budget, checks):
+    """:func:`search_witness`, compiling each check once into ``checks``,
+    keyed by (relation, expected truth, free references), so searches
+    over one map and target share their compiled checks."""
     n = interp.tuple_length
     size = structure.size
-    params = interp.parameters
-    full = (1 << target_structure.size) - 1
-
     constraints = []
     for name, arity in structure.signature.symbols:
         formula = interp.formula(name)
         refs = [r for r in formula_refs(formula) if isinstance(r, Coord)]
-        if not refs:
-            # a formula without coordinates is one truth value for all tuples
-            value = compile_formula(formula, target_structure, params)(())
-            table = structure.relations[name]
-            if any(
-                (tup in table) != value
-                for tup in itertools.product(range(size), repeat=arity)
-            ):
-                return None
-            continue
         for tup in itertools.product(range(size), repeat=arity):
+            variables = tuple(sorted({tup[r.slot] * n + r.coord for r in refs}))
+            last = variables[-1] if variables else None
+            free = frozenset(r for r in refs if tup[r.slot] * n + r.coord == last)
             expected = structure.holds(name, tup)
-            variables = sorted({tup[r.slot] * n + r.coord for r in refs})
-            allowed = _allowed_values(
-                formula if expected else Not(formula),
-                lambda ref, tup=tup: tup[ref.slot] * n + ref.coord,
-                params,
-                variables[-1],
-                target_structure,
-                full,
-            )
-            constraints.append((tuple(variables), allowed))
+            key = (name, expected, free)
+            if key not in checks:
+                checks[key] = compile_formula(
+                    formula if expected else Not(formula),
+                    target_structure,
+                    interp.parameters,
+                    free,
+                )
+            mask = partial(checks[key], tuple(t * n for t in tup))
+            if variables:
+                constraints.append((variables, mask))
+            elif not mask(()):
+                # a formula without coordinates fails for every map alike
+                return None
 
+    full = (1 << target_structure.size) - 1
     solutions = forward_search(
         [full] * (n * size), constraints, limit=1, budget=budget, what="witness search"
     )
@@ -692,110 +765,6 @@ def search_witness(
         return None
     values = solutions[0]
     return [tuple(values[e * n : (e + 1) * n]) for e in range(size)]
-
-
-def _allowed_values(formula, var_of, params, last, target, full):
-    """Compile a formula for forward checking.
-
-    Returns ``allowed(values)``: the bitset of values of variable ``last``
-    for which the formula holds in ``target``, given ``values`` of the
-    other variables it reads (``var_of`` maps a coordinate to its
-    variable).  A binary atom with one end at ``last`` is a row of the
-    target's ``bit_rows``, an equality with ``last`` is one bit, and the
-    connectives are bit operations; atoms of other arities test each
-    candidate value.
-    """
-    size = target.size
-
-    def ref_value(ref):
-        """None for ``last``, else a function of ``values``."""
-        if isinstance(ref, Coord):
-            v = var_of(ref)
-            return None if v == last else itemgetter(v)
-        p = params[ref.index]
-        return lambda values: p
-
-    def row_of(rows, ref):
-        if isinstance(ref, Coord):
-            v = var_of(ref)
-            return lambda values: rows[values[v]]
-        p = params[ref.index]
-        mask = rows[p] if 0 <= p < size else 0
-        return lambda values: mask
-
-    def constant(mask):
-        return lambda values: mask
-
-    if isinstance(formula, Const):
-        return constant(full if formula.value else 0)
-    if isinstance(formula, Not):
-        inner = _allowed_values(formula.inner, var_of, params, last, target, full)
-        return lambda values: full ^ inner(values)
-    if isinstance(formula, (And, Or)):
-        parts = [
-            _allowed_values(p, var_of, params, last, target, full)
-            for p in formula.parts
-        ]
-        if isinstance(formula, And):
-
-            def conj(values):
-                mask = full
-                for part in parts:
-                    mask &= part(values)
-                    if not mask:
-                        break
-                return mask
-
-            return conj
-
-        def disj(values):
-            mask = 0
-            for part in parts:
-                mask |= part(values)
-                if mask == full:
-                    break
-            return mask
-
-        return disj
-    if isinstance(formula, Eq):
-        left, right = ref_value(formula.left), ref_value(formula.right)
-        if left is None and right is None:
-            return constant(full)
-        if left is None or right is None:
-            other = formula.right if left is None else formula.left
-            if isinstance(other, Coord):
-                v = var_of(other)
-                return lambda values: 1 << values[v]
-            p = params[other.index]
-            return constant(1 << p if 0 <= p < size else 0)
-        return lambda values: full if left(values) == right(values) else 0
-
-    name = formula.name
-    getters = [ref_value(a) for a in formula.args]
-    rows = target.bit_rows.get(name) if len(getters) == 2 else None
-    if rows is not None and None in getters:
-        out_rows, in_rows, loops = rows
-        first, second = formula.args
-        if getters[0] is None and getters[1] is None:
-            return constant(loops)
-        if getters[0] is None:
-            return row_of(in_rows, second)
-        return row_of(out_rows, first)
-    if None not in getters:
-        return lambda values: (
-            full if target.holds(name, tuple(g(values) for g in getters)) else 0
-        )
-
-    def scan(values):
-        point = [None if g is None else g(values) for g in getters]
-        mask = 0
-        for x in range(size):
-            image = tuple(x if g is None else p for g, p in zip(getters, point))
-            if target.holds(name, image):
-                mask |= 1 << x
-        return mask
-
-    return scan
 
 
 # -- parameter elimination --------------------------------------------------------------

@@ -568,7 +568,9 @@ class PatternWitness:
         for g, row in self.rows:
             for i in range(self.m):
                 for j in range(self.length):
-                    value = compiled[i]((row, self.column(i, j)))
+                    value = bool(
+                        compiled[i]((0, len(row)), (*row, *self.column(i, j)))
+                    )
                     if value != self.expected_sign(g, i, j):
                         return VerificationReport.refuted(
                             f"{self.kind}-pattern",

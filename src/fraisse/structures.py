@@ -50,6 +50,7 @@ class Signature:
 
     The declaration order is significant: it fixes the bit-encoding used by
     canonical forms and the serialization order of relation tables.
+    ``names`` is the tuple of relation names in that order.
     """
 
     symbols: tuple[tuple[str, int], ...]
@@ -61,12 +62,11 @@ class Signature:
         for name, arity in self.symbols:
             if arity < 1:
                 raise OutOfRange(f"relation {name!r} has arity {arity} < 1")
-        # name -> arity, for the membership checks' per-call lookups
+        # the names in order, and name -> arity for the membership checks'
+        # per-call lookups; attributes, not fields, so equality and hashing
+        # read ``symbols`` alone
+        object.__setattr__(self, "names", tuple(names))
         object.__setattr__(self, "_arities", dict(self.symbols))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.symbols)
 
     def arity(self, name: str) -> int:
         if name not in self._arities:

@@ -108,6 +108,20 @@ def test_ramsey_box_demo_refuses_a_box_too_large_to_color(capsys, monkeypatch):
     assert "too large for a coloring demo" in err and err.count("\n") == 1
 
 
+def test_ramsey_box_refuses_a_dimension_above_the_cap(capsys, monkeypatch):
+    # refused before 3**k or the bound's k-step loop is formed
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"computed with {args}")
+
+    monkeypatch.setattr(fraisse.cli, "direction_count", refuse)
+    monkeypatch.setattr(fraisse.cli, "box_ramsey_upper_bound", refuse)
+    for k in ("1001", "10000", "4000000000"):
+        code, out, err = run(capsys, "ramsey-box", "--k", k, "--colors", "1", "--m", "2")
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"--k {k} ") and err.count("\n") == 1
+
+
 def test_dagger(capsys):
     code, data = run_json(capsys, "dagger")
     assert code == 0

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraisse.config
 from fraisse.classes import builtin, superpose
 from fraisse.config import (
     And,
@@ -93,13 +94,13 @@ def test_formula_evaluation(graph_model):
     structure = graph_model.structure
     edge = next(iter(structure.relations["E"]))
     f = compile_formula(parse_formula("E(0.0, 1.0)"), structure, ())
-    assert f([(edge[0],), (edge[1],)])
+    assert f((0, 1), edge) == 1
     g = compile_formula(parse_formula("!E(0.0, 1.0)"), structure, ())
-    assert not g([(edge[0],), (edge[1],)])
+    assert g((0, 1), edge) == 0
     # a point outside the universe holds no atom, not even through wrapping
     last = structure.size - 1
     assert any((last, v) in structure.relations["E"] for v in range(structure.size))
-    assert not any(f([(-1,), (v,)]) for v in range(structure.size))
+    assert not any(f((0, 1), (-1, v)) for v in range(structure.size))
 
 
 # -- interpretation maps --------------------------------------------------------------
@@ -148,6 +149,25 @@ def test_identity_certificate(graph_model):
     )
     assert isinstance(cert, ConfigCertificate)
     assert cert.recheck()
+
+
+def test_each_search_check_is_compiled_once(graph_model, monkeypatch):
+    # E(0.0, 1.0) read on index points (a, b) leaves 1.0 free where a < b,
+    # 0.0 where a > b and both where a = b; each free set is compiled at
+    # most once per expected truth, not once per index tuple
+    compile_formula = fraisse.config.compile_formula
+    free_sets = []
+
+    def counting(formula, target, params, free=frozenset()):
+        free_sets.append(free)
+        return compile_formula(formula, target, params, free)
+
+    monkeypatch.setattr(fraisse.config, "compile_formula", counting)
+    cert = verify_configuration(identity_interpretation(builtin("G")), graph_model, 4)
+    assert isinstance(cert, ConfigCertificate)
+    a, b = Coord(0, 0), Coord(1, 0)
+    assert set(free_sets) == {frozenset({b}), frozenset({a}), frozenset({a, b})}
+    assert len(free_sets) <= 2 * 3
 
 
 def test_refutation_with_sufficient_level(graph_model):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -189,6 +190,23 @@ def test_IRD_single_order():
     pattern = extract_IRD_pattern(ident, model, 2, witness=witness)
     assert pattern.verify(model.structure)
     assert [g for g, _ in pattern.rows] == [(0,), (1,)]
+
+
+def test_corrupted_pattern_is_refuted_with_a_json_bool():
+    model = build_order_box_model(1, 8, budget=4096)
+    from fraisse.limits import order_box_embedding
+
+    ident = identity_interpretation(builtin("LO"))
+
+    def witness(structure):
+        return [(v,) for v in order_box_embedding(structure, model)]
+
+    pattern = extract_IRD_pattern(ident, model, 2, witness=witness)
+    # rows swapped: g = 0 now carries the tuple above column 1
+    pattern.rows = [(g, t) for (g, _), (_, t) in zip(pattern.rows, pattern.rows[::-1])]
+    report = pattern.verify(model.structure)
+    assert report.status == "refuted"
+    assert json.loads(report.dumps())["witness"] == {"g": [0], "i": 0, "j": 1, "value": False}
 
 
 def test_IRD_two_orders_length_3():

@@ -27,7 +27,6 @@ from fraisse.config import (
     Not,
     Or,
     Param,
-    _allowed_values,
     compile_formula,
     compose_configurations,
     identity_interpretation,
@@ -156,7 +155,9 @@ def test_witness_matches_reference_on_random_formulas(data):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_compiled_formula_matches_evaluation(data):
-    # every variable in turn is the one filtered, the rest read from values
+    # every free set a search can produce: slots 0 and 1 read index points
+    # tup[0] and tup[1] (both slots free at once where they are the same
+    # point), and every variable in turn is the one filtered
     n = data.draw(st.integers(1, 2), label="tuple length")
     target = data.draw(structures(MIXED, 1, 8), label="target")
     params = tuple(
@@ -166,18 +167,19 @@ def test_compiled_formula_matches_evaluation(data):
     values = data.draw(
         st.lists(st.integers(0, target.size - 1), min_size=2 * n, max_size=2 * n), label="values"
     )
-    full = (1 << target.size) - 1
-    for last in range(2 * n):
-        allowed = _allowed_values(
-            formula, lambda ref: ref.slot * n + ref.coord, params, last, target, full
-        )
-        expected = 0
-        for x in range(target.size):
-            trial = values[:last] + [x] + values[last + 1 :]
-            tuples = [tuple(trial[:n]), tuple(trial[n:])]
-            if reference_evaluate(formula, target, tuples, params):
-                expected |= 1 << x
-        assert allowed(values) == expected, last
+    coords = [Coord(s, c) for s in range(2) for c in range(n)]
+    for tup in [(0, 1), (1, 0), (0, 0)]:
+        at = tuple(t * n for t in tup)
+        for last in sorted({at[r.slot] + r.coord for r in coords}):
+            free = frozenset(r for r in coords if at[r.slot] + r.coord == last)
+            mask = compile_formula(formula, target, params, free)
+            expected = 0
+            for x in range(target.size):
+                trial = values[:last] + [x] + values[last + 1 :]
+                tuples = [tuple(trial[a : a + n]) for a in at]
+                if reference_evaluate(formula, target, tuples, params):
+                    expected |= 1 << x
+            assert mask(at, values) == expected, (tup, last)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -197,7 +199,8 @@ def test_compiled_evaluation_matches_tree_walk(data):
             tuple(data.draw(st.lists(point, min_size=n, max_size=n), label="tuple"))
             for _ in range(2)
         ]
-        assert compiled(tuples) == reference_evaluate(formula, target, tuples, params)
+        expected = reference_evaluate(formula, target, tuples, params)
+        assert compiled((0, n), tuples[0] + tuples[1]) == expected
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -237,13 +240,23 @@ def test_first_violation_matches_tree_walk(data):
     assert witness_violation(interp, target, index, witness) == expected
 
 
-@pytest.mark.parametrize("length", [1, 3])
-def test_witness_of_the_wrong_length_is_rejected(length):
+@pytest.mark.parametrize(
+    "witness,message",
+    [
+        ([(0,)], "witness maps 1 points"),
+        ([(0,)] * 3, "witness maps 3 points"),
+        ([(), ()], "has 0 coordinates"),
+        ([(0, 99), (1, 98)], "has 2 coordinates"),
+    ],
+    ids=["1", "3", "short", "long"],
+)
+def test_witness_of_the_wrong_length_is_rejected(witness, message):
+    # too few or too many points, or tuples shorter or longer than the map's
     interp = identity_interpretation(builtin("G"))
     target = random_structure(GRAPH, 4, 0, 0.5, symmetric=True, loops=False)
     edge = random_structure(GRAPH, 2, 0, 1.0, symmetric=True, loops=False)
-    with pytest.raises(ValueError, match=f"witness maps {length} points"):
-        witness_violation(interp, target, edge, [(0,)] * length)
+    with pytest.raises(ValueError, match=message):
+        witness_violation(interp, target, edge, witness)
 
 
 def _maps():
