@@ -13,16 +13,24 @@ for *all* tuples, including repeated entries.  Certificates are
 re-checkable by plain evaluation, independent of the search that found
 them.
 
-One compiler serves evaluation and search: :func:`compile_formula` walks
-a formula tree once and returns ``mask(at, values)``, the bitset of
-target points that make the formula hold when its free references read
-them, reading the other coordinates of each slot from a flat list of
-values.  With no free reference that is the truth as 1 or 0, which
-certificate rechecks, ``witness_violation`` and ``PatternWitness.verify``
-read; :func:`search_witness` frees the references to the coordinate a
-check filters.  Each call compiles what it needs once: a recheck its
-map's formulas, a ``verify_configuration`` call (or one ``--jobs`` worker)
-each search check.  The tree walk per tuple is the test oracle
+One compiler serves evaluation and search: :func:`compile_formula`
+returns ``mask(at, values)``, the bitset of target points that make the
+formula hold when its free references read them, reading the other
+coordinates of each slot from a flat list of values.  With no free
+reference that is the truth as 1 or 0, which certificate rechecks,
+``witness_violation`` and ``PatternWitness.verify`` read;
+:func:`search_witness` frees the references to the coordinate a check
+filters.  A formula compiles to its distinct leaves (atoms and
+equalities) and a truth table, one bit per assignment of the leaves,
+built by one bit-parallel walk of the tree.  Evaluation reads the leaves
+into an index and tests one bit.  Forward checking reads the leaves
+that do not see the free references into an index that picks a
+cofactor of the table, and ORs the cofactor's minterms, each an AND of
+the free leaves' point rows or their complements.  A formula of more
+than 16 leaves runs the same walk on every call instead.  Each call
+compiles what it needs once: a recheck its map's formulas, a
+``verify_configuration`` call (or one ``--jobs`` worker) each search
+check.  The tree walk per tuple is the test oracle
 ``reference_evaluate`` in ``tests/reference_search.py``.
 
 Formulas are quantifier-free by design: every construction implemented
@@ -44,8 +52,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from .classes import ClassSpec, parse_class_expr, superpose
 from .errors import (
@@ -191,6 +200,10 @@ def map_refs(formula, fn):
 
 # -- compiled evaluation -----------------------------------------------------------
 
+# The most leaves a truth table covers (2**16 bits); a formula with more
+# walks its tree on every call.
+_TABLE_LEAVES = 16
+
 
 def compile_formula(formula, target: FiniteStructure, params, free=frozenset()):
     """``mask(at, values)``: the bitset of points x of ``target`` for
@@ -198,109 +211,185 @@ def compile_formula(formula, target: FiniteStructure, params, free=frozenset()):
 
     Coordinate ``(s, c)`` outside ``free`` reads ``values[at[s] + c]``
     and parameter j reads ``params[j]``.  With ``free`` empty the result
-    is the truth as 1 or 0.  The tree is walked once, here: each node
-    becomes a closure over its children's.  A binary atom with a free end
-    is a row of the target's ``bit_rows``, an equality with a free end is
-    one bit, and the connectives are bit operations; atoms of other
-    arities with a free end test each point.  An atom with no free end
-    looks its tuple up in the relation table, so a point outside the
-    universe (a witness value of -1, say) never holds, and a parameter
-    outside the universe gives an empty row and bit.  An atom that does
-    not fit the target's signature raises :class:`UnknownRelation` or
-    :class:`OutOfRange` here, as in :class:`InterpretationMap`.
+    is the truth as 1 or 0.
+
+    The formula becomes its distinct leaves (``Atom`` and ``Eq`` nodes),
+    those that read a free reference first, and a truth table: an int
+    whose bit a is the formula's truth when leaf i reads bit i of a,
+    built by one bit-parallel walk of the tree (:func:`_truth`).  A call
+    reads the other leaves into an index.  With ``free`` empty the index
+    picks the truth; otherwise it picks a cofactor, the table over the
+    free leaves (Shannon's expansion), whose minterms are ORed
+    (:func:`_minterms`).  A free leaf's row is a row of the target's
+    ``bit_rows`` for a binary atom (the loop mask when both ends are
+    free), one point's bit for an equality, and a scan of the points for
+    other arities.  Above ``_TABLE_LEAVES`` leaves the same walk runs on
+    every call, over the leaf values.
+
+    An atom looks its tuple up in the relation table, so a point outside
+    the universe (a witness value of -1, say) never holds, and a
+    parameter outside the universe gives an empty row and bit.  An atom
+    that does not fit the target's signature raises
+    :class:`UnknownRelation` or :class:`OutOfRange` here, as in
+    :class:`InterpretationMap`.
     """
-    size = target.size
-    full = (1 << size) - 1 if free else 1
+    atoms, getters, make = _plan(formula, free)
+    for atom in atoms:
+        _check_atom(atom, target.signature)
+    return make(*[get(target, params) for get in getters])
 
-    def constant(mask):
-        return lambda at, values: mask
 
-    def read(ref):
-        if isinstance(ref, Coord):
-            slot, coord = ref.slot, ref.coord
-            return lambda at, values: values[at[slot] + coord]
-        return constant(params[ref.index])
+@lru_cache(maxsize=None)
+def _plan(formula, free):
+    """What :func:`compile_formula` makes of ``formula`` and ``free``
+    alone: the atoms to check, a getter ``get(target, params)`` for each
+    value the mask reads, and ``make(*values)``, which returns the mask.
 
-    def indexed(masks, ref):
-        """``masks[v]`` for the point v that ``ref`` reads; none outside
-        the universe."""
-        if isinstance(ref, Coord):
-            slot, coord = ref.slot, ref.coord
-            return lambda at, values: masks[values[at[slot] + coord]]
-        p = params[ref.index]
-        return constant(masks[p] if 0 <= p < size else 0)
+    The mask is a lambda generated from the leaves and closed over those
+    values, so a binary coordinate atom is one tuple lookup and a formula
+    of one leaf costs one call, as a hand-written closure would.
+    """
+    leaves = list(_leaves(formula, {}))
+    freed = [leaf for leaf in leaves if _reads(leaf, free)]
+    fixed = [leaf for leaf in leaves if not _reads(leaf, free)]
+    getters = []
 
-    def walk(f):
-        if isinstance(f, Const):
-            return constant(full if f.value else 0)
-        if isinstance(f, Not):
-            inner = walk(f.inner)
-            return lambda at, values: full ^ inner(at, values)
-        if isinstance(f, (And, Or)):
-            parts = [walk(p) for p in f.parts]
-            if isinstance(f, And):
+    def read(get):
+        """The name under which the mask reads ``get(target, params)``."""
+        getters.append(get)
+        return f"v{len(getters) - 1}"
 
-                def conj(at, values):
-                    mask = full
-                    for part in parts:
-                        mask &= part(at, values)
-                        if not mask:
-                            break
-                    return mask
+    def ref(r):
+        if isinstance(r, Param):
+            j = r.index
+            return read(lambda target, params: params[j])
+        slot, coord = operator.index(r.slot), operator.index(r.coord)
+        return f"values[at[{slot}] + {coord}]" if coord else f"values[at[{slot}]]"
 
-                return conj
+    def table(leaf):
+        name = leaf.name
+        return read(lambda target, params: target.relations[name])
 
-            def disj(at, values):
-                mask = 0
-                for part in parts:
-                    mask |= part(at, values)
-                    if mask == full:
-                        break
-                return mask
+    def holds(leaf):
+        if isinstance(leaf, Eq):
+            return f"{ref(leaf.left)} == {ref(leaf.right)}"
+        return f"({''.join(f'{ref(a)}, ' for a in leaf.args)}) in {table(leaf)}"
 
-            return disj
-        if isinstance(f, Eq):
-            if f.left in free and f.right in free:
-                return constant(full)
-            if f.left in free or f.right in free:
-                bound = f.right if f.left in free else f.left
-                return indexed([1 << x for x in range(size)], bound)
-            left, right = read(f.left), read(f.right)
-            return lambda at, values: full if left(at, values) == right(at, values) else 0
-        _check_atom(f, target.signature)
-        table = target.relations[f.name]
-        ends = [a in free for a in f.args]
-        if not any(ends):
-            if len(f.args) == 2 and all(isinstance(a, Coord) for a in f.args):
-                # the shape of every built-in construction, read without getters
-                (s0, c0), (s1, c1) = ((a.slot, a.coord) for a in f.args)
-                return lambda at, values: (
-                    full if (values[at[s0] + c0], values[at[s1] + c1]) in table else 0
-                )
-            getters = [read(a) for a in f.args]
-            return lambda at, values: (
-                full if tuple([get(at, values) for get in getters]) in table else 0
-            )
-        if len(f.args) == 2:
-            out_rows, in_rows, loops = target.bit_rows[f.name]
-            first, second = f.args
-            if all(ends):
-                return constant(loops)
-            return indexed(in_rows, second) if ends[0] else indexed(out_rows, first)
-        getters = [None if end else read(a) for a, end in zip(f.args, ends)]
+    full = read(lambda target, params: (1 << target.size) - 1) if free else "1"
 
-        def scan(at, values):
-            point = [None if get is None else get(at, values) for get in getters]
-            mask = 0
-            for x in range(size):
-                image = tuple(x if get is None else p for get, p in zip(getters, point))
-                if image in table:
-                    mask |= 1 << x
-            return mask
+    def row(leaf):
+        """The bitset of the points x for which a free leaf holds."""
+        if isinstance(leaf, Eq):
+            if leaf.left in free and leaf.right in free:
+                return full
+            bound = leaf.right if leaf.left in free else leaf.left
+            return point_row(lambda target: [1 << x for x in range(target.size)], bound)
+        if len(leaf.args) != 2:
+            point = "".join("x, " if a in free else f"{ref(a)}, " for a in leaf.args)
+            size = read(lambda target, params: target.size)
+            return f"sum([1 << x for x in range({size}) if ({point}) in {table(leaf)}])"
+        name = leaf.name
+        first, second = leaf.args
+        if first in free and second in free:
+            return read(lambda target, params: target.bit_rows[name][2])
+        # the in-rows {x : R(x, v)} when the first end is free, else the out-rows
+        side, bound = (1, second) if first in free else (0, first)
+        return point_row(lambda target: target.bit_rows[name][side], bound)
 
-        return scan
+    def point_row(rows, r):
+        """``rows(target)[v]`` for the point v that ``r`` reads; none
+        outside the universe."""
+        if isinstance(r, Coord):
+            return f"{read(lambda target, params: rows(target))}[{ref(r)}]"
+        j = r.index
 
-    return walk(formula)
+        def get(target, params):
+            p = params[j]
+            return rows(target)[p] if 0 <= p < target.size else 0
+
+        return read(get)
+
+    if len(leaves) > _TABLE_LEAVES:
+        values = [row(leaf) for leaf in freed] + [f"-({holds(leaf)}) & {full}" for leaf in fixed]
+        tree = read(lambda target, params: formula)
+        order = read(lambda target, params: freed + fixed)
+        body = f"_truth({tree}, dict(zip({order}, ({', '.join(values)},))), {full})"
+    else:
+        # leaf i's column: the assignments with bit i set, of all 2**L
+        ones = (1 << (1 << len(leaves))) - 1
+        columns = {
+            leaf: ones // ((1 << (1 << i)) + 1) << (1 << i)
+            for i, leaf in enumerate(freed + fixed)
+        }
+        truth = _truth(formula, columns, ones)
+        k = len(freed)
+        index = " | ".join(f"({holds(leaf)}) << {i}" for i, leaf in enumerate(fixed)) or "0"
+        if not free:
+            body = f"{read(lambda target, params: truth)} >> ({index}) & 1"
+        elif not fixed and k == 1:
+            # the one cofactor is known here: no minterm, one, the other, or both
+            only = row(freed[0])
+            body = ("0", f"{full} ^ {only}", only, full)[truth]
+        else:
+            cofactor = f"{read(lambda target, params: truth)} >> (({index}) << {k})"
+            rows = "".join(f"{row(leaf)}, " for leaf in freed)
+            body = f"_minterms({cofactor} & {(1 << (1 << k)) - 1}, ({rows}), {full})"
+    arguments = ", ".join(f"v{i}" for i in range(len(getters)))
+    make = eval(f"lambda {arguments}: lambda at, values: {body}", globals())
+    return [leaf for leaf in leaves if isinstance(leaf, Atom)], getters, make
+
+
+def _leaves(formula, out):
+    """``out`` with the distinct ``Atom`` and ``Eq`` nodes of ``formula``
+    added as keys, in the order they first appear."""
+    if isinstance(formula, (Atom, Eq)):
+        out[formula] = None
+    elif isinstance(formula, Not):
+        _leaves(formula.inner, out)
+    elif isinstance(formula, (And, Or)):
+        for part in formula.parts:
+            _leaves(part, out)
+    return out
+
+
+def _reads(leaf, free):
+    refs = leaf.args if isinstance(leaf, Atom) else (leaf.left, leaf.right)
+    return any(r in free for r in refs)
+
+
+def _truth(formula, columns, full):
+    """The one tree walk, bit-parallel: the bitset of ``formula`` when
+    each leaf is the bitset ``columns[leaf]`` and ``full`` is every bit."""
+    if isinstance(formula, Const):
+        return full if formula.value else 0
+    if isinstance(formula, Not):
+        return full ^ _truth(formula.inner, columns, full)
+    if isinstance(formula, And):
+        mask = full
+        for part in formula.parts:
+            mask &= _truth(part, columns, full)
+        return mask
+    if isinstance(formula, Or):
+        mask = 0
+        for part in formula.parts:
+            mask |= _truth(part, columns, full)
+        return mask
+    return columns[formula]
+
+
+def _minterms(cofactor, rows, full):
+    """The OR of the minterms set in ``cofactor``: minterm m ANDs
+    ``rows[i]`` where bit i of m is set and its complement where clear."""
+    mask = 0
+    while cofactor:
+        low = cofactor & -cofactor
+        cofactor ^= low
+        m = low.bit_length() - 1
+        term = full
+        for i, row in enumerate(rows):
+            term &= row if m >> i & 1 else full ^ row
+        mask |= term
+    return mask
 
 
 def _check_atom(atom, signature):

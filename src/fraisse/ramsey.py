@@ -315,6 +315,8 @@ def box_ramsey_upper_bound(k: int, colors: int, m: int, kind: str = "point") -> 
     (pair-of-slices colorings split by direction and endpoint order),
     then pigeonholes the new axis with colors**(side**2) induced colors.
 
+    One color, or a side-1 box (one point), needs no more than side m.
+
     Raises ``OverflowError`` where a coloring count has an exponent wider
     than 32 bits (see ``_colorings``).
     """
@@ -322,7 +324,7 @@ def box_ramsey_upper_bound(k: int, colors: int, m: int, kind: str = "point") -> 
         raise ValueError(f"need k, colors, m >= 1, got {(k, colors, m)}")
     if kind not in ("point", "directed"):
         raise ValueError(f"unknown kind {kind!r}")
-    if colors == 1:
+    if colors == 1 or m == 1:
         return m
     if kind == "point":
         n = colors * (m - 1) + 1

@@ -227,6 +227,8 @@ class QuadConstruction:
                 self.h[p] = (code,)
                 self.h[p.star()] = (code.transpose(),)
         self._check_injection()
+        # the first code of each type, keyed by its atom bits (PairType.sort_key)
+        self.pair_codes = {p.sort_key(): codes[0] for p, codes in self.h.items()}
 
     def _check_injection(self):
         flat = [c for codes in self.h.values() for c in codes]
@@ -266,22 +268,28 @@ class QuadConstruction:
     def witness_graph(self, structure: FiniteStructure) -> FiniteStructure:
         """The undirected pattern on n * |A| points whose columns realize
         the tuples: column internals carry the fixed pattern, and the
-        cross pattern of columns a < b is the first code of h(tp(a, b))."""
+        cross pattern of columns a < b is the first code of h(tp(a, b)).
+
+        The type of (a, b) is read as its atom bits in the order of
+        :meth:`PairType.sort_key`: per relation, (a, a), (a, b), (b, a)
+        and (b, b).  A type outside ``h`` raises ``KeyError``."""
         n = self.n
+        tables = [structure.relations[name] for name in structure.signature.names]
         edges = set()
         for a in range(structure.size):
             for i, j in self.column_pattern:
                 edges.add((a * n + i, a * n + j))
         for a in range(structure.size):
             for b in range(a + 1, structure.size):
-                code = self.h[PairType.of(structure, a, b)][0]
+                pairs = ((a, a), (a, b), (b, a), (b, b))
+                code = self.pair_codes[tuple(x in table for table in tables for x in pairs)]
                 for i, j in code.edges:
                     edges.add((a * n + i, b * n + j))
                     edges.add((b * n + j, a * n + i))
-        return FiniteStructure.build(
+        return FiniteStructure._trusted(
             Signature(((self.edge_relation, 2),)),
             n * structure.size,
-            {self.edge_relation: edges},
+            {self.edge_relation: frozenset(edges)},
         )
 
     def witness_builder(self, target: GenericModel):

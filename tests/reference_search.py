@@ -43,6 +43,10 @@ keyed by ``classes.one_type``: a walk of the extension tuples for every
 self-similarity loop that walked those tuples again for every (A, p, S,
 tau) and every candidate point.  Types are passed as dicts from relation
 name to tuples, as that code took them.
+
+``reference_witness_graph`` is ``ranks.QuadConstruction.witness_graph``
+before each pair's code was read from a table keyed by its atom bits: it
+builds ``PairType.of`` for every pair and looks the type up in ``h``.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from fraisse.report import VerificationReport
 from fraisse.structures import (
     Embedding,
     FiniteStructure,
+    Signature,
     all_extension_tuples,
     find_embeddings,
     one_point_extensions,
@@ -489,3 +494,24 @@ def reference_check_self_similarity(spec, bound, budget=None):
                                 )
                                 return report, nodes
     return VerificationReport.verified_up_to("self-similarity", bound), nodes
+
+
+def reference_witness_graph(construction, structure):
+    """The quad construction's witness pattern for ``structure``, with the
+    type of every pair built by ``PairType.of``."""
+    n = construction.n
+    edges = set()
+    for a in range(structure.size):
+        for i, j in construction.column_pattern:
+            edges.add((a * n + i, a * n + j))
+    for a in range(structure.size):
+        for b in range(a + 1, structure.size):
+            code = construction.h[PairType.of(structure, a, b)][0]
+            for i, j in code.edges:
+                edges.add((a * n + i, b * n + j))
+                edges.add((b * n + j, a * n + i))
+    return FiniteStructure.build(
+        Signature(((construction.edge_relation, 2),)),
+        n * structure.size,
+        {construction.edge_relation: edges},
+    )

@@ -71,6 +71,15 @@ def test_ramsey_box_bound(capsys):
     assert data["directions"] == 5
 
 
+@pytest.mark.parametrize("kind", ["point", "directed"])
+def test_ramsey_box_side_one(capsys, kind):
+    code, data = run_json(
+        capsys, "ramsey-box", "--k", "3", "--colors", "2", "--m", "1", "--kind", kind
+    )
+    assert code == 0
+    assert data["bound"] == 1
+
+
 def test_ramsey_box_demo_with_seed(capsys):
     code, data = run_json(
         capsys, "ramsey-box", "--k", "1", "--colors", "2", "--m", "2", "--seed", "0"
@@ -478,11 +487,18 @@ def test_non_member_model_file_is_usage_error(capsys, tmp_path, config_files):
 
 FUZZ_MODEL = build_generic_model(builtin("G"), level=1, size_cap=8).to_json()  # 4 points
 FUZZ_CONFIG = identity_interpretation(builtin("G")).to_json()
+# formula text a character or a reference away from a valid formula, and a
+# formula of 20 distinct atoms that is valid at tuple length 5 or more
+NEAR_FORMULAS = [
+    "E(0.0)", "E(0.0, 1.0, 0.1)", "E(0.5, 1.0)", "E(2.0, 1.0)", "E(0.0, p3)",
+    "F(0.0, 1.0)", "E(0.0, 1.0",
+]
+WIDE_FORMULA = " | ".join(f"E(0.{a}, 1.{b})" for a in range(5) for b in range(4))
 # values of other types, and points out of range of the model; none makes a
 # model of more than 8 points
 FUZZ_VALUES = [
     None, True, -1, 0, 1.5, 4, 8, "x", "G", [], [4], [[0, 8]], [[0, 1.5], [1.5, 0]],
-    {}, {"E": 1},
+    {}, {"E": 1}, *NEAR_FORMULAS, WIDE_FORMULA,
 ]
 
 
@@ -538,6 +554,25 @@ def test_mutated_input_files_never_raise(files):
     if code == 3:
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("formula", NEAR_FORMULAS + [WIDE_FORMULA])
+def test_near_valid_formulas_exit_3(formula, capsys, tmp_path):
+    config = dict(FUZZ_CONFIG, formulas={"E": formula})
+    paths = [tmp_path / "config.json", tmp_path / "target.json"]
+    for path, doc in zip(paths, (config, FUZZ_MODEL)):
+        path.write_text(json.dumps(doc))
+    argv = ["verify-config", "--config", str(paths[0]), "--target", str(paths[1]), "--bound", "2"]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if formula == WIDE_FORMULA:
+        # at tuple length 5 it is valid, and is evaluated without a truth table
+        paths[0].write_text(json.dumps(dict(config, tuple_length=5)))
+        code, data = run_json(capsys, *argv)
+        assert code == 0
+        assert "certificate" in data
 
 
 def test_dagger_on_a_target_missing_codes_is_refuted(capsys, tmp_path):

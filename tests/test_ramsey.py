@@ -207,6 +207,15 @@ def test_box_bound_degenerate_cases():
         assert box_ramsey_upper_bound(k, colors, m) >= m
 
 
+@pytest.mark.parametrize("kind", ["point", "directed"])
+def test_side_one_box_bound_is_one(kind):
+    # a side-1 box is one point; the directed recursion used to run out of
+    # memory building super-color counts such as 1024**4
+    for k in range(1, 5):
+        for colors in (1, 2, 3):
+            assert box_ramsey_upper_bound(k, colors, 1, kind=kind) == 1
+
+
 def test_directed_bound_overflow_guard():
     with pytest.raises(OverflowError):
         box_ramsey_upper_bound(3, 2, 2, kind="directed")

@@ -24,6 +24,8 @@ from fraisse.ranks import (
     verify_dagger_base_case,
     _class_coordinates,
 )
+from fraisse.structures import FiniteStructure, enumerate_structures_upto
+from reference_search import reference_witness_graph
 
 QUAD_CLASSES = ("LO", "G", "E", "T")
 
@@ -46,12 +48,30 @@ def test_transpose_involution_and_symmetry():
 # -- the quad construction ---------------------------------------------------------------
 
 
+# sha256 of build_quad_configuration(K, 2, graph_model)[1].dumps() at bound 3,
+# and for LO at bound 4, frozen before formulas were compiled to truth
+# tables and pair codes were read from a table
+QUAD_B3_SHA256 = {
+    "LO": "738091eba1cdb1e9b858b5fdc6c9e792c1cd4deac32aa27c30e9e7239d23c362",
+    "G": "da881c0abfde7fa67870ec106890a3ca6725229fa3f20b8858a329ef5ac5094f",
+    "E": "9a0367cea03528ef622b4e803675d7e96cb7c916b6f0a03e3666ad3f8e6eae48",
+    "T": "44d70e977083a2ca34999ccc7bb70e4f2edefe460ce012159ad9992e36eee80a",
+}
+QUAD_LO_B4_SHA256 = "f6237066a778b39cc09d3b54e9ae527a15832c18850fa649acbf06acdd977d29"
+
+
 @pytest.mark.parametrize("name", QUAD_CLASSES)
 def test_quad_certificate_at_bound_3(name, graph_model):
     interp, cert = build_quad_configuration(builtin(name), 2, graph_model)
     assert interp.tuple_length == 2
     assert len(interp.formulas) == 3
     assert cert.recheck()
+    assert hashlib.sha256(cert.dumps().encode()).hexdigest() == QUAD_B3_SHA256[name]
+
+
+def test_quad_LO_certificate_at_bound_4_is_pinned(graph_model):
+    _, cert = build_quad_configuration(builtin("LO"), 2, graph_model, bound=4)
+    assert hashlib.sha256(cert.dumps().encode()).hexdigest() == QUAD_LO_B4_SHA256
 
 
 # sha256 of build_quad_configuration(E, 2, graph_model, bound=4)[1].dumps(),
@@ -63,6 +83,24 @@ QUAD_E_B4_SHA256 = "22eca7ab122350279307c13ae3a284087127bd73fd3b17fd501f727ed5c6
 def test_quad_E_certificate_at_bound_4_is_pinned(graph_model):
     _, cert = build_quad_configuration(builtin("E"), 2, graph_model, bound=4)
     assert hashlib.sha256(cert.dumps().encode()).hexdigest() == QUAD_E_B4_SHA256
+
+
+@pytest.mark.parametrize("name,bound", [(name, 3) for name in QUAD_CLASSES] + [("E", 4)])
+def test_witness_graph_matches_pair_type_reference(name, bound):
+    qc = QuadConstruction(builtin(name), 2)
+    for structure in enumerate_structures_upto(qc.power_spec, bound):
+        assert qc.witness_graph(structure) == reference_witness_graph(qc, structure)
+
+
+def test_witness_graph_rejects_a_pair_type_outside_h():
+    qc = QuadConstruction(builtin("LO"), 2)
+    # a pair related both ways is no type of LO^3
+    names = qc.power_spec.signature.names
+    both_ways = FiniteStructure.build(
+        qc.power_spec.signature, 2, {name: {(0, 1), (1, 0)} for name in names}
+    )
+    with pytest.raises(KeyError):
+        qc.witness_graph(both_ways)
 
 
 @pytest.mark.parametrize("name", QUAD_CLASSES)

@@ -82,22 +82,25 @@ def structures(draw, signature, min_size, max_size):
     return random_structure(signature, size, seed, density, symmetric, loops)
 
 
-def formulas(n, nparams, arity):
-    """Boolean combinations of E/F/P/Q atoms, equalities and constants over
-    ``arity`` slots of ``n`` coordinates and ``nparams`` parameters."""
+def leaves(n, nparams, arity):
+    """E/F/P/Q atoms and equalities over ``arity`` slots of ``n``
+    coordinates and ``nparams`` parameters."""
     coords = st.builds(Coord, st.integers(0, arity - 1), st.integers(0, n - 1))
     ref = coords
     if nparams:
         ref = st.one_of(coords, st.builds(Param, st.integers(0, nparams - 1)))
-    leaves = st.one_of(
+    return st.one_of(
         st.builds(lambda name, a, b: Atom(name, (a, b)), st.sampled_from("EF"), ref, ref),
         st.builds(lambda a: Atom("P", (a,)), ref),
         st.builds(lambda a, b, c: Atom("Q", (a, b, c)), ref, ref, ref),
         st.builds(Eq, ref, ref),
-        st.builds(Const, st.booleans()),
     )
+
+
+def formulas(n, nparams, arity):
+    """Boolean combinations of leaves and constants."""
     return st.recursive(
-        leaves,
+        st.one_of(leaves(n, nparams, arity), st.builds(Const, st.booleans())),
         lambda inner: st.one_of(
             st.builds(Not, inner),
             st.builds(lambda ps: And(tuple(ps)), st.lists(inner, max_size=3)),
@@ -105,6 +108,22 @@ def formulas(n, nparams, arity):
         ),
         max_leaves=6,
     )
+
+
+@st.composite
+def wide_formulas(draw, n, nparams, arity):
+    """Formulas of 17 to 20 distinct leaves, more than a truth table
+    covers, joined pairwise by random connectives."""
+    parts = draw(st.lists(leaves(n, nparams, arity), min_size=17, max_size=20, unique=True))
+    while len(parts) > 1:
+        i = draw(st.integers(0, len(parts) - 2))
+        node = draw(st.sampled_from([And, Or]))(tuple(parts[i : i + 2]))
+        parts[i : i + 2] = [Not(node) if draw(st.booleans()) else node]
+    return parts[0]
+
+
+def any_formulas(n, nparams, arity):
+    return st.one_of(formulas(n, nparams, arity), wide_formulas(n, nparams, arity))
 
 
 def assert_same_witness(interp, target, structure):
@@ -163,7 +182,7 @@ def test_compiled_formula_matches_evaluation(data):
     params = tuple(
         data.draw(st.lists(st.integers(0, target.size + 1), max_size=2), label="parameters")
     )
-    formula = data.draw(formulas(n, len(params), 2), label="formula")
+    formula = data.draw(any_formulas(n, len(params), 2), label="formula")
     values = data.draw(
         st.lists(st.integers(0, target.size - 1), min_size=2 * n, max_size=2 * n), label="values"
     )
@@ -190,7 +209,7 @@ def test_compiled_evaluation_matches_tree_walk(data):
     params = tuple(
         data.draw(st.lists(st.integers(0, target.size + 1), max_size=2), label="parameters")
     )
-    formula = data.draw(formulas(n, len(params), 2), label="formula")
+    formula = data.draw(any_formulas(n, len(params), 2), label="formula")
     # witness values run one past the universe on both sides
     point = st.integers(-1, target.size)
     compiled = compile_formula(formula, target, params)
